@@ -32,7 +32,6 @@ from .goal_structure import (
 from .ingest import (
     MissingPolicy,
     ParticipantRecord,
-    RawAnswer,
     ResponseSet,
     normalize,
     parse_responses,
@@ -85,7 +84,6 @@ __all__ = [
     "Participation",
     "Question",
     "Questionnaire",
-    "RawAnswer",
     "ReportError",
     "ResponseError",
     "ResponseSet",

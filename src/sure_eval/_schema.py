@@ -1,11 +1,29 @@
-"""Strict JSON loading helpers: unknown keys are rejected, positions are reported."""
+"""Strict JSON documents: each layout is declared once, as a shape, and checked in one pass.
+
+A shape is a nested literal: ``str``, ``int`` or ``float`` for a JSON
+string, integer (not ``true``/``false``) or number (not an integer);
+``[item]`` for an array of ``item``; ``{"field": shape, ...}`` for an
+object with exactly these fields; ``{str: shape}`` for an object used as a
+map; ``Nullable(shape)`` for ``null`` or ``shape``; a tuple of strings
+for one of those strings.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import SchemaError
+
+
+class Nullable(NamedTuple):
+    shape: Any
+
+
+class _NonFinite(str):
+    """NaN, Infinity or -Infinity as loaded: not JSON (RFC 8259 section 6), so no shape accepts one and check() names its path."""
+
+    __repr__ = str.__str__
 
 
 def load_json(document: bytes | str, what: str = "document") -> Any:
@@ -15,46 +33,82 @@ def load_json(document: bytes | str, what: str = "document") -> Any:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{what} is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(document)
+        return json.loads(document, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{what} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
 
 
-def as_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+def check(value: Any, shape: Any) -> None:
+    """Raise SchemaError, naming the JSON path ("$.a[2].b"), at the first part of value that does not match shape."""
+    try:
+        _check(value, shape)
+    except _Mismatch as exc:
+        raise SchemaError("$" + "".join(reversed(exc.path)) + f": {exc}") from None
 
 
-def as_array(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected an array, got {type(value).__name__}")
-    return value
+class _Mismatch(Exception):
+    """A problem on its way up to check(); each level appends its path step, so no path is built unless one fails."""
+
+    def __init__(self, problem: str):
+        super().__init__(problem)
+        self.path: list[str] = []
 
 
-def as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string, got {type(value).__name__}")
-    return value
+_EXPECTED = {str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"}
+_JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean", list: "array", dict: "object", type(None): "null"}
 
 
-def as_int(value: Any, path: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
+def _wrong(value: Any, expected: type) -> _Mismatch:
+    got = value if type(value) is _NonFinite else _JSON_TYPES[type(value)]
+    return _Mismatch(f"expected {_EXPECTED[expected]}, got {got}")
 
 
-def check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    """Reject unknown keys and report missing required ones."""
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise SchemaError(f"{path}: unknown field(s): {', '.join(unknown)}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise SchemaError(f"{path}: missing field(s): {', '.join(missing)}")
+def _check(value: Any, shape: Any) -> None:
+    kind = type(shape)
+    if kind is type:
+        if type(value) is not shape:
+            raise _wrong(value, shape)
+    elif kind is Nullable:
+        if value is not None:
+            _check(value, shape.shape)
+    elif kind is tuple:
+        if value not in shape:
+            raise _Mismatch(f"must be one of {shape}, got {value!r}")
+    elif kind is list:
+        if type(value) is not list:
+            raise _wrong(value, list)
+        _check_each(enumerate(value), value, shape[0], "[{}]")
+    elif type(value) is not dict:
+        raise _wrong(value, dict)
+    elif str in shape:
+        _check_each(value.items(), value.values(), shape[str], ".{}")
+    elif value.keys() != shape.keys():
+        unknown = sorted(value.keys() - shape.keys())
+        if unknown:
+            raise _Mismatch(f"unknown field(s): {', '.join(unknown)}")
+        raise _Mismatch(f"missing field(s): {', '.join(key for key in shape if key not in value)}")
+    else:
+        try:
+            for key, field_shape in shape.items():
+                if type(value[key]) is not field_shape:  # a matching leaf needs no call
+                    _check(value[key], field_shape)
+        except _Mismatch as exc:
+            exc.path.append(f".{key}")
+            raise
+
+
+def _check_each(pairs, values, shape: Any, step: str) -> None:
+    """Check the elements of an array or the values of a map; pairs gives (index or key, value)."""
+    if type(shape) is type and {*map(type, values)} <= {shape}:
+        return  # every leaf matches: the common case, without a Python-level call per value
+    try:
+        for key, item in pairs:
+            _check(item, shape)
+    except _Mismatch as exc:
+        exc.path.append(step.format(key))
+        raise
 
 
 def dumps(obj: Any) -> bytes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from . import _schema
-from .errors import InvalidStructureError, SchemaError, Violation
+from .errors import InvalidStructureError, Violation
 
 STATUS_DRAFT = "draft"
 STATUS_CONFIRMED = "confirmed"
@@ -60,6 +60,27 @@ class GoalStructure:
         return [sub.id for sub in self.sub_goals()]
 
 
+STRUCTURE_SHAPE = {
+    "title": str,
+    "version": str,
+    "status": _STATUSES,
+    "confirmation": _schema.Nullable({"approvers": [str], "date": str}),
+    "key_goals": [{"id": str, "label": str, "sub_goals": [{"id": str, "label": str}]}],
+}
+
+
+def key_goals_from_obj(raw_key_goals: list[dict]) -> tuple[KeyGoal, ...]:
+    """The tree of a checked document's "key_goals" array; other fields of its entries are ignored."""
+    return tuple(
+        KeyGoal(
+            id=key["id"],
+            label=key["label"],
+            sub_goals=tuple(SubGoal(id=sub["id"], label=sub["label"], parent=key["id"]) for sub in key["sub_goals"]),
+        )
+        for key in raw_key_goals
+    )
+
+
 def parse_structure(document: bytes | str) -> GoalStructure:
     """Parse a goal-structure JSON document, enforcing schema and invariants.
 
@@ -67,53 +88,16 @@ def parse_structure(document: bytes | str) -> GoalStructure:
     fields) and InvalidStructureError, carrying the full violation list,
     when the document is well-formed but breaks an invariant.
     """
-    data = _schema.as_object(_schema.load_json(document, "goal structure"), "$")
-    _schema.check_keys(data, "$", ("title", "version", "status", "confirmation", "key_goals"))
+    data = _schema.load_json(document, "goal structure")
+    _schema.check(data, STRUCTURE_SHAPE)
 
-    title = _schema.as_str(data["title"], "$.title")
-    version = _schema.as_str(data["version"], "$.version")
-    status = _schema.as_str(data["status"], "$.status")
-    if status not in _STATUSES:
-        raise SchemaError(f"$.status: must be one of {_STATUSES}, got {status!r}")
-
-    confirmation = None
-    if data["confirmation"] is not None:
-        record = _schema.as_object(data["confirmation"], "$.confirmation")
-        _schema.check_keys(record, "$.confirmation", ("approvers", "date"))
-        approvers = tuple(
-            _schema.as_str(name, f"$.confirmation.approvers[{i}]")
-            for i, name in enumerate(_schema.as_array(record["approvers"], "$.confirmation.approvers"))
-        )
-        confirmation = Confirmation(approvers=approvers, date=_schema.as_str(record["date"], "$.confirmation.date"))
-
-    key_goals = []
-    for i, raw_key in enumerate(_schema.as_array(data["key_goals"], "$.key_goals")):
-        key_path = f"$.key_goals[{i}]"
-        raw_key = _schema.as_object(raw_key, key_path)
-        _schema.check_keys(raw_key, key_path, ("id", "label", "sub_goals"))
-        key_id = _schema.as_str(raw_key["id"], f"{key_path}.id")
-        sub_goals = []
-        for j, raw_sub in enumerate(_schema.as_array(raw_key["sub_goals"], f"{key_path}.sub_goals")):
-            sub_path = f"{key_path}.sub_goals[{j}]"
-            raw_sub = _schema.as_object(raw_sub, sub_path)
-            _schema.check_keys(raw_sub, sub_path, ("id", "label"))
-            sub_goals.append(
-                SubGoal(
-                    id=_schema.as_str(raw_sub["id"], f"{sub_path}.id"),
-                    label=_schema.as_str(raw_sub["label"], f"{sub_path}.label"),
-                    parent=key_id,
-                )
-            )
-        key_goals.append(
-            KeyGoal(id=key_id, label=_schema.as_str(raw_key["label"], f"{key_path}.label"), sub_goals=tuple(sub_goals))
-        )
-
+    record = data["confirmation"]
     structure = GoalStructure(
-        title=title,
-        version=version,
-        key_goals=tuple(key_goals),
-        status=status,
-        confirmation=confirmation,
+        title=data["title"],
+        version=data["version"],
+        key_goals=key_goals_from_obj(data["key_goals"]),
+        status=data["status"],
+        confirmation=None if record is None else Confirmation(approvers=tuple(record["approvers"]), date=record["date"]),
     )
     violations = validate_structure(structure)
     if violations:

@@ -16,11 +16,6 @@ from typing import Mapping, Sequence
 from .errors import ResponseError
 from .questionnaire import Questionnaire, Scale
 
-# A raw answer cell is either a level code or missing (None) until the
-# policy resolves it; retained participants carry ints only.
-RawAnswer = int | None
-
-
 class MissingPolicy(enum.Enum):
     """How unanswered questions are resolved after parsing."""
 
@@ -108,7 +103,7 @@ def parse_responses(
 
         demographic_values = {name: row[column_of[name]].strip() for name in demographics}
 
-        answers: dict[str, RawAnswer] = {}
+        answers: dict[str, int | None] = {}  # None marks a blank cell until the policy resolves it
         missing: list[str] = []
         for question_id in question_ids:
             cell = row[column_of[question_id]].strip()
@@ -144,7 +139,7 @@ def parse_responses(
             ParticipantRecord(
                 participant_id=participant_id,
                 demographics=demographic_values,
-                answers={qid: code for qid, code in answers.items()},  # all ints by now
+                answers=answers,  # all ints by now
             )
         )
 

@@ -173,45 +173,25 @@ def render_questionnaire(
     return "\n".join(lines)
 
 
+QUESTIONNAIRE_SHAPE = {
+    "structure_version": str,
+    "status": (STATUS_DRAFT, STATUS_CONFIRMED),
+    "scale": [{"code": int, "label": str}],
+    "questions": [{"id": str, "text": str, "sub_goal": str}],
+}
+
+
 def parse_questionnaire(document: bytes | str) -> Questionnaire:
     """Parse a questionnaire JSON document (strict schema)."""
-    data = _schema.as_object(_schema.load_json(document, "questionnaire"), "$")
-    _schema.check_keys(data, "$", ("structure_version", "status", "scale", "questions"))
-
-    status = _schema.as_str(data["status"], "$.status")
-    if status not in (STATUS_DRAFT, STATUS_CONFIRMED):
-        raise SchemaError(f"$.status: must be one of ('draft', 'confirmed'), got {status!r}")
-
-    levels = []
-    for i, raw_level in enumerate(_schema.as_array(data["scale"], "$.scale")):
-        path = f"$.scale[{i}]"
-        raw_level = _schema.as_object(raw_level, path)
-        _schema.check_keys(raw_level, path, ("code", "label"))
-        levels.append(
-            ScaleLevel(code=_schema.as_int(raw_level["code"], f"{path}.code"), label=_schema.as_str(raw_level["label"], f"{path}.label"))
-        )
-    scale = Scale(levels=tuple(levels))
+    data = _schema.load_json(document, "questionnaire")
+    _schema.check(data, QUESTIONNAIRE_SHAPE)
+    scale = Scale(levels=tuple(ScaleLevel(code=level["code"], label=level["label"]) for level in data["scale"]))
     _check_scale(scale)
-
-    questions = []
-    question_paths = _schema.as_array(data["questions"], "$.questions")
-    for i, raw_question in enumerate(question_paths):
-        path = f"$.questions[{i}]"
-        raw_question = _schema.as_object(raw_question, path)
-        _schema.check_keys(raw_question, path, ("id", "text", "sub_goal"))
-        questions.append(
-            Question(
-                id=_schema.as_str(raw_question["id"], f"{path}.id"),
-                text=_schema.as_str(raw_question["text"], f"{path}.text"),
-                sub_goal=_schema.as_str(raw_question["sub_goal"], f"{path}.sub_goal"),
-            )
-        )
-
     return Questionnaire(
-        questions=tuple(questions),
+        questions=tuple(Question(id=q["id"], text=q["text"], sub_goal=q["sub_goal"]) for q in data["questions"]),
         scale=scale,
-        structure_version=_schema.as_str(data["structure_version"], "$.structure_version"),
-        status=status,
+        structure_version=data["structure_version"],
+        status=data["status"],
     )
 
 

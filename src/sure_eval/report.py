@@ -13,11 +13,12 @@ import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from . import _schema
 from .errors import ReportError, SchemaError
-from .goal_structure import GoalStructure, KeyGoal, SubGoal
+from .goal_structure import GoalStructure, KeyGoal, key_goals_from_obj, validate_structure
 from .ingest import ResponseSet
 from .scoring import AggregateScores, ParticipantScore, aggregate_scores
 
@@ -103,10 +104,6 @@ def build_report(
                 for value, group_scores in sorted(members.items())
             }
 
-    histogram = [0] * HISTOGRAM_BINS
-    for score in scores:
-        histogram[min(int(score.overall * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
-
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -117,11 +114,19 @@ def build_report(
         aggregates=aggregates,
         key_goals=structure.key_goals,
         participants=tuple(scores),
-        histogram=tuple(histogram),
+        histogram=_histogram(score.overall for score in scores),
         participation=participation_record,
         groups=groups,
         warnings=tuple(responses.warnings),
     )
+
+
+def _histogram(overalls: Iterable[float]) -> tuple[int, ...]:
+    """Counts of overall scores in [0, 1] per tenth; 1.0 falls in the last bin."""
+    histogram = [0] * HISTOGRAM_BINS
+    for overall in overalls:
+        histogram[min(int(overall * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
+    return tuple(histogram)
 
 
 def render_report(report: ScoreReport, format: str) -> bytes:
@@ -302,125 +307,124 @@ def _report_to_obj(report: ScoreReport) -> dict:
     }
 
 
-def _score_num(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _aggregates_from_obj(obj: dict, path: str) -> AggregateScores:
-    _schema.check_keys(obj, path, ("n", "n_max", "n_zero", "general", "key_goals", "sub_goals"))
-    return AggregateScores(
-        general=_score_num(obj["general"], f"{path}.general"),
-        key_goal={k: _score_num(v, f"{path}.key_goals.{k}") for k, v in _schema.as_object(obj["key_goals"], f"{path}.key_goals").items()},
-        sub_goal={k: _score_num(v, f"{path}.sub_goals.{k}") for k, v in _schema.as_object(obj["sub_goals"], f"{path}.sub_goals").items()},
-        n_participants=_schema.as_int(obj["n"], f"{path}.n"),
-        n_overall_max=_schema.as_int(obj["n_max"], f"{path}.n_max"),
-        n_overall_zero=_schema.as_int(obj["n_zero"], f"{path}.n_zero"),
-    )
+_AGGREGATES_SHAPE = {"n": int, "n_max": int, "n_zero": int, "general": float, "key_goals": {str: float}, "sub_goals": {str: float}}
+REPORT_SHAPE = {
+    "title": str,
+    "version": str,
+    "generated_at": str,
+    "general": float,
+    "key_goals": [{"id": str, "label": str, "score": float, "sub_goals": [{"id": str, "label": str, "score": float}]}],
+    "participants": [{"id": str, "overall": float, "key_goals": {str: float}, "sub_goals": {str: float}}],
+    "distribution": {"n": int, "n_max": int, "n_zero": int, "histogram": [int]},
+    "participation": _schema.Nullable({"respondents": int, "enrolled": int, "rate_percent": float}),
+    "groups": _schema.Nullable({str: {str: _AGGREGATES_SHAPE}}),
+    "warnings": [str],
+}
 
 
 def parse_report(document: bytes | str) -> ScoreReport:
-    """Rebuild a ScoreReport from its json rendering, field for field."""
-    data = _schema.as_object(_schema.load_json(document, "report"), "$")
-    _schema.check_keys(
-        data,
-        "$",
-        (
-            "title",
-            "version",
-            "generated_at",
-            "general",
-            "key_goals",
-            "participants",
-            "distribution",
-            "participation",
-            "groups",
-            "warnings",
+    """Rebuild a ScoreReport from its json rendering, field for field.
+
+    Accepts only what render_report writes: the layout of REPORT_SHAPE, finite
+    numbers, and figures that agree with each other. A rejection is a
+    SchemaError naming the JSON path at fault.
+    """
+    data = _schema.load_json(document, "report")
+    _schema.check(data, REPORT_SHAPE)
+    distribution, groups = data["distribution"], data["groups"]
+    report = ScoreReport(
+        title=data["title"],
+        version=data["version"],
+        generated_at=data["generated_at"],
+        aggregates=AggregateScores(
+            general=data["general"],
+            key_goal={key["id"]: key["score"] for key in data["key_goals"]},
+            sub_goal={sub["id"]: sub["score"] for key in data["key_goals"] for sub in key["sub_goals"]},
+            n_participants=distribution["n"],
+            n_overall_max=distribution["n_max"],
+            n_overall_zero=distribution["n_zero"],
         ),
+        key_goals=key_goals_from_obj(data["key_goals"]),
+        participants=tuple(ParticipantScore(p["id"], p["sub_goals"], p["key_goals"], p["overall"]) for p in data["participants"]),
+        histogram=tuple(distribution["histogram"]),
+        participation=None if data["participation"] is None else Participation(**data["participation"]),
+        groups=None if groups is None else {
+            key: {value: AggregateScores(a["general"], a["key_goals"], a["sub_goals"], a["n"], a["n_max"], a["n_zero"]) for value, a in by_value.items()}
+            for key, by_value in groups.items()
+        },
+        warnings=tuple(data["warnings"]),
     )
+    _check_consistent(report)
+    return report
 
-    key_goals = []
-    key_scores: dict[str, float] = {}
-    sub_scores: dict[str, float] = {}
-    for i, raw_key in enumerate(_schema.as_array(data["key_goals"], "$.key_goals")):
-        path = f"$.key_goals[{i}]"
-        raw_key = _schema.as_object(raw_key, path)
-        _schema.check_keys(raw_key, path, ("id", "label", "score", "sub_goals"))
-        key_id = _schema.as_str(raw_key["id"], f"{path}.id")
-        key_scores[key_id] = _score_num(raw_key["score"], f"{path}.score")
-        subs = []
-        for j, raw_sub in enumerate(_schema.as_array(raw_key["sub_goals"], f"{path}.sub_goals")):
-            sub_path = f"{path}.sub_goals[{j}]"
-            raw_sub = _schema.as_object(raw_sub, sub_path)
-            _schema.check_keys(raw_sub, sub_path, ("id", "label", "score"))
-            sub_id = _schema.as_str(raw_sub["id"], f"{sub_path}.id")
-            sub_scores[sub_id] = _score_num(raw_sub["score"], f"{sub_path}.score")
-            subs.append(SubGoal(id=sub_id, label=_schema.as_str(raw_sub["label"], f"{sub_path}.label"), parent=key_id))
-        key_goals.append(KeyGoal(id=key_id, label=_schema.as_str(raw_key["label"], f"{path}.label"), sub_goals=tuple(subs)))
 
-    participants = []
-    for i, raw_participant in enumerate(_schema.as_array(data["participants"], "$.participants")):
-        path = f"$.participants[{i}]"
-        raw_participant = _schema.as_object(raw_participant, path)
-        _schema.check_keys(raw_participant, path, ("id", "overall", "key_goals", "sub_goals"))
-        participants.append(
-            ParticipantScore(
-                participant_id=_schema.as_str(raw_participant["id"], f"{path}.id"),
-                sub_goal_scores={k: _score_num(v, f"{path}.sub_goals.{k}") for k, v in _schema.as_object(raw_participant["sub_goals"], f"{path}.sub_goals").items()},
-                key_goal_scores={k: _score_num(v, f"{path}.key_goals.{k}") for k, v in _schema.as_object(raw_participant["key_goals"], f"{path}.key_goals").items()},
-                overall=_score_num(raw_participant["overall"], f"{path}.overall"),
-            )
-        )
+def _all_fit(maps: list[dict[str, float]], ids: tuple[str, ...]) -> bool:
+    """Whether every map holds exactly ids, in order, with scores in [0, 1]; no Python-level loop per map."""
+    values = list(chain.from_iterable(map(dict.values, maps)))
+    return all(map(ids.__eq__, map(tuple, maps))) and 0.0 <= min(values) and max(values) <= 1.0
 
-    distribution = _schema.as_object(data["distribution"], "$.distribution")
-    _schema.check_keys(distribution, "$.distribution", ("n", "n_max", "n_zero", "histogram"))
-    histogram = tuple(
-        _schema.as_int(count, f"$.distribution.histogram[{i}]")
-        for i, count in enumerate(_schema.as_array(distribution["histogram"], "$.distribution.histogram"))
-    )
 
-    aggregates = AggregateScores(
-        general=_score_num(data["general"], "$.general"),
-        key_goal=key_scores,
-        sub_goal=sub_scores,
-        n_participants=_schema.as_int(distribution["n"], "$.distribution.n"),
-        n_overall_max=_schema.as_int(distribution["n_max"], "$.distribution.n_max"),
-        n_overall_zero=_schema.as_int(distribution["n_zero"], "$.distribution.n_zero"),
-    )
+def _check_scores(rows: Iterable[tuple], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
+    """Name the first misfit in (path, field, score, key scores, sub scores) rows: ids other than the tree's, or a score outside [0, 1]."""
+    for path, field, score, key_scores, sub_scores in rows:
+        for name, scores, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
+            if tuple(scores) != ids:
+                raise SchemaError(f"{path}.{name}: ids must be the report's, in order: {', '.join(ids)}")
+            for key, value in scores.items():
+                if not 0.0 <= value <= 1.0:
+                    raise SchemaError(f"{path}.{name}.{key}: score {value!r} is outside [0, 1]")
+        if not 0.0 <= score <= 1.0:
+            raise SchemaError(f"{path}.{field}: score {score!r} is outside [0, 1]")
 
-    participation = None
-    if data["participation"] is not None:
-        raw = _schema.as_object(data["participation"], "$.participation")
-        _schema.check_keys(raw, "$.participation", ("respondents", "enrolled", "rate_percent"))
-        participation = Participation(
-            respondents=_schema.as_int(raw["respondents"], "$.participation.respondents"),
-            enrolled=_schema.as_int(raw["enrolled"], "$.participation.enrolled"),
-            rate_percent=_score_num(raw["rate_percent"], "$.participation.rate_percent"),
-        )
 
-    groups = None
-    if data["groups"] is not None:
-        groups = {
-            key: {
-                value: _aggregates_from_obj(_schema.as_object(raw_agg, f"$.groups.{key}.{value}"), f"$.groups.{key}.{value}")
-                for value, raw_agg in _schema.as_object(by_value, f"$.groups.{key}").items()
-            }
-            for key, by_value in _schema.as_object(data["groups"], "$.groups").items()
-        }
+def _check_consistent(report: ScoreReport) -> None:
+    """Reject a well-shaped report whose figures build_report could not have produced."""
+    structure = GoalStructure(title=report.title, version=report.version, key_goals=report.key_goals)
+    for violation in validate_structure(structure)[:1]:
+        raise SchemaError(f"{violation.path}: {violation.message}")
+    if not report.participants:
+        raise SchemaError("$.participants: a report has at least one participant")
+    key_ids, sub_ids = tuple(key.id for key in report.key_goals), tuple(structure.sub_goal_ids())
+    participants = report.participants
+    overalls = [p.overall for p in participants]
+    fit = _all_fit([p.key_goal_scores for p in participants], key_ids) and _all_fit([p.sub_goal_scores for p in participants], sub_ids)
+    if not (fit and 0.0 <= min(overalls) and max(overalls) <= 1.0):
+        rows = ((f"$.participants[{i}]", "overall", p.overall, p.key_goal_scores, p.sub_goal_scores) for i, p in enumerate(participants))
+        _check_scores(rows, key_ids, sub_ids)
 
-    return ScoreReport(
-        title=_schema.as_str(data["title"], "$.title"),
-        version=_schema.as_str(data["version"], "$.version"),
-        generated_at=_schema.as_str(data["generated_at"], "$.generated_at"),
-        aggregates=aggregates,
-        key_goals=tuple(key_goals),
-        participants=tuple(participants),
-        histogram=histogram,
-        participation=participation,
-        groups=groups,
-        warnings=tuple(_schema.as_str(w, f"$.warnings[{i}]") for i, w in enumerate(_schema.as_array(data["warnings"], "$.warnings"))),
-    )
+    got, want = report.aggregates, aggregate_scores(participants, structure)
+    for path, found, expected in (
+        ("$.distribution.n", got.n_participants, want.n_participants),
+        ("$.distribution.n_max", got.n_overall_max, want.n_overall_max),
+        ("$.distribution.n_zero", got.n_overall_zero, want.n_overall_zero),
+        ("$.general", got.general, want.general),
+        *((f"$.key_goals[{i}].score", got.key_goal[key.id], want.key_goal[key.id]) for i, key in enumerate(report.key_goals)),
+        *((f"$.key_goals[{i}].sub_goals[{j}].score", got.sub_goal[sub.id], want.sub_goal[sub.id]) for i, key in enumerate(report.key_goals) for j, sub in enumerate(key.sub_goals)),
+    ):
+        if found != expected:
+            raise SchemaError(f"{path}: {found!r} does not match the participants, which give {expected!r}")
+    histogram = _histogram(overalls)
+    if report.histogram != histogram:
+        raise SchemaError(f"$.distribution.histogram: must be the {HISTOGRAM_BINS}-bin histogram of the overalls, {list(histogram)}")
+
+    part = report.participation
+    try:
+        rate = None if part is None else participation_rate(part.respondents, part.enrolled)
+    except ReportError as exc:
+        raise SchemaError(f"$.participation: {exc}") from None
+    if part is not None and part.rate_percent != rate:
+        raise SchemaError(f"$.participation.rate_percent: must be {rate!r} for {part.respondents} of {part.enrolled}")
+
+    for key, by_value in (report.groups or {}).items():
+        rows = ((f"$.groups.{key}.{value}", "general", agg.general, agg.key_goal, agg.sub_goal) for value, agg in by_value.items())
+        _check_scores(rows, key_ids, sub_ids)
+        for value, agg in by_value.items():
+            if agg.n_participants < 1:
+                raise SchemaError(f"$.groups.{key}.{value}.n: a group has at least one participant")
+        for field, count in (("n", "n_participants"), ("n_max", "n_overall_max"), ("n_zero", "n_overall_zero")):
+            total = sum(getattr(agg, count) for agg in by_value.values())
+            if total != getattr(got, count):
+                raise SchemaError(f"$.groups.{key}: the groups' {field} sum to {total}, not to $.distribution.{field}")
 
 
 # --- csv --------------------------------------------------------------------

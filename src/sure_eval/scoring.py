@@ -15,6 +15,8 @@ order so repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import InvalidQuestionnaireError, NoDataError
@@ -100,32 +102,30 @@ def score_all(
     questions_of: dict[str, list[str]] = {sub.id: [] for sub in structure.sub_goals()}
     for question in questionnaire.questions:
         questions_of[question.sub_goal].append(question.id)
+    plan = [(kg.id, [(sub.id, questions_of[sub.id]) for sub in kg.sub_goals]) for kg in structure.key_goals]
 
     scores: list[ParticipantScore] = []
     for record in responses.participants:
         answers = record.answers
         sub_scores: dict[str, float] = {}
         key_scores: dict[str, float] = {}
-        overall = 1.0
-        for key_goal in structure.key_goals:
-            shortfall = 1.0
-            for sub in key_goal.sub_goals:
-                question_ids = questions_of[sub.id]
+        key_values: list[float] = []
+        for key_id, subs in plan:
+            values = []
+            for sub_id, question_ids in subs:
                 total = 0.0
                 for question_id in question_ids:
                     total += unit[answers[question_id]]
-                value = total / len(question_ids)
-                sub_scores[sub.id] = value
-                shortfall *= 1.0 - value
-            key_value = 1.0 - shortfall
-            key_scores[key_goal.id] = key_value
-            overall *= key_value
+                sub_scores[sub_id] = value = total / len(question_ids)
+                values.append(value)
+            key_scores[key_id] = value = key_goal_score(values)
+            key_values.append(value)
         scores.append(
             ParticipantScore(
                 participant_id=record.participant_id,
                 sub_goal_scores=sub_scores,
                 key_goal_scores=key_scores,
-                overall=overall,
+                overall=participant_score(key_values),
             )
         )
 
@@ -135,6 +135,9 @@ def score_all(
 def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructure) -> AggregateScores:
     """Arithmetic means over a score list, in list order.
 
+    reduce(add, ..., 0.0) sums left to right; sum() compensates rounding on
+    Python 3.12+, so results would differ between versions.
+
     Extreme counts use exact comparison: the scoring rules produce exactly
     1.0 for all-top answers and exactly 0.0 for a fully failed key goal, so
     no tolerance is involved.
@@ -142,35 +145,14 @@ def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructur
     if not scores:
         raise NoDataError("no_data: zero retained participants")
     n = len(scores)
-
-    general = 0.0
-    n_max = 0
-    n_zero = 0
-    for score in scores:
-        general += score.overall
-        if score.overall == 1.0:
-            n_max += 1
-        if score.overall == 0.0:
-            n_zero += 1
-
-    key_goal: dict[str, float] = {}
-    sub_goal: dict[str, float] = {}
-    for kg in structure.key_goals:
-        total = 0.0
-        for score in scores:
-            total += score.key_goal_scores[kg.id]
-        key_goal[kg.id] = total / n
-        for sub in kg.sub_goals:
-            total = 0.0
-            for score in scores:
-                total += score.sub_goal_scores[sub.id]
-            sub_goal[sub.id] = total / n
-
+    overalls = [score.overall for score in scores]
+    key_maps = [score.key_goal_scores for score in scores]
+    sub_maps = [score.sub_goal_scores for score in scores]
     return AggregateScores(
-        general=general / n,
-        key_goal=key_goal,
-        sub_goal=sub_goal,
+        general=reduce(add, overalls, 0.0) / n,
+        key_goal={kg.id: reduce(add, map(itemgetter(kg.id), key_maps), 0.0) / n for kg in structure.key_goals},
+        sub_goal={sub.id: reduce(add, map(itemgetter(sub.id), sub_maps), 0.0) / n for sub in structure.sub_goals()},
         n_participants=n,
-        n_overall_max=n_max,
-        n_overall_zero=n_zero,
+        n_overall_max=overalls.count(1.0),
+        n_overall_zero=overalls.count(0.0),
     )

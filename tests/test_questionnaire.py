@@ -140,3 +140,9 @@ def test_parse_rejects_unknown_field(questionnaire):
     doc["language"] = "en"
     with pytest.raises(SchemaError, match="unknown field"):
         parse_questionnaire(json.dumps(doc).encode())
+
+
+def test_parse_rejects_non_finite_number(questionnaire):
+    text = serialize_questionnaire(questionnaire).decode().replace('"code": 0', '"code": NaN', 1)
+    with pytest.raises(SchemaError, match=r"^\$\.scale\[0\]\.code: expected an integer, got NaN$"):
+        parse_questionnaire(text)

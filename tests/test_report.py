@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
-from sure_eval.errors import ReportError
+from sure_eval.errors import ReportError, SchemaError
 from sure_eval.report import build_report, parse_report, participation_rate, render_report
 from sure_eval.scoring import aggregate_scores, score_all
 
@@ -199,3 +202,75 @@ def test_csv_sections(scored, structure, responses):
 def test_render_rejects_unknown_format(scored, structure, responses):
     with pytest.raises(ValueError, match="unknown format"):
         render_report(full_report(scored, structure, responses), "pdf")
+
+
+@pytest.fixture()
+def report_doc(scored, structure, responses):
+    """The bundled sample's json report, with participation and groups, as a mutable object."""
+    report = full_report(scored, structure, responses, participation=(9, 20), group_by=["gender"])
+    return json.loads(render_report(report, "json"))
+
+
+_DELETE = object()
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for step in parents:
+        doc = doc[step]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        pytest.param(["comment"], "x", r"^\$: unknown field\(s\): comment$", id="unknown-field"),
+        pytest.param(["participants", 0, "overall"], _DELETE, r"^\$\.participants\[0\]: missing field\(s\): overall$", id="missing-field"),
+        pytest.param(["participants", 2, "sub_goals", "A11"], "0.5", r"^\$\.participants\[2\]\.sub_goals\.A11: expected a number, got string$", id="string-score"),
+        pytest.param(["key_goals", 1, "score"], True, r"^\$\.key_goals\[1\]\.score: expected a number, got boolean$", id="true-score"),
+        pytest.param(["participants", 0, "overall"], 1, r"^\$\.participants\[0\]\.overall: expected a number, got integer$", id="integer-score"),
+        pytest.param(["groups"], [], r"^\$\.groups: expected an object, got array$", id="groups-array"),
+        pytest.param(["groups", "gender", "F"], None, r"^\$\.groups\.gender\.F: expected an object, got null$", id="group-null"),
+    ],
+)
+def test_parse_report_rejects_wrong_shape_with_path(report_doc, path, value, message):
+    _set(report_doc, path, value)
+    with pytest.raises(SchemaError, match=message):
+        parse_report(json.dumps(report_doc).encode())
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # regression: a NaN general, n = 999 for 9 participants and a 1-bin histogram were each accepted
+        pytest.param(["general"], math.nan, r"^\$\.general: expected a number, got NaN$", id="nan-general"),
+        pytest.param(["distribution", "n"], 999, r"^\$\.distribution\.n: 999 does not match", id="n-999"),
+        pytest.param(["distribution", "histogram"], [9], r"^\$\.distribution\.histogram: must be the 10-bin histogram", id="one-bin-histogram"),
+        # every other consistency rule, one fault at a time
+        pytest.param(["participants", 3, "overall"], -math.inf, r"^\$\.participants\[3\]\.overall: expected a number, got -Infinity$", id="infinite-overall"),
+        pytest.param(["distribution", "n_max"], 3, r"^\$\.distribution\.n_max: ", id="n-max"),
+        pytest.param(["distribution", "n_zero"], 0, r"^\$\.distribution\.n_zero: ", id="n-zero"),
+        pytest.param(["participants", 1, "key_goals", "B2"], 1.5, r"^\$\.participants\[1\]\.key_goals\.B2: score 1\.5 is outside \[0, 1\]$", id="score-above-one"),
+        pytest.param(["participants", 4, "sub_goals"], {"A12": 0.5}, r"^\$\.participants\[4\]\.sub_goals: ids must be the report's, in order", id="sub-ids"),
+        pytest.param(["participants"], [], r"^\$\.participants: a report has at least one participant$", id="no-participants"),
+        pytest.param(["key_goals", 0, "sub_goals", 0, "id"], "A12", r"^\$\.key_goals\[0\]\.sub_goals\[1\]: id 'A12' is already used$", id="duplicate-id"),
+        pytest.param(["key_goals", 2, "sub_goals", 1, "score"], 0.5, r"^\$\.key_goals\[2\]\.sub_goals\[1\]\.score: 0\.5 does not match", id="sub-goal-aggregate"),
+        pytest.param(["participation", "rate_percent"], 45.01, r"^\$\.participation\.rate_percent: must be 45\.0", id="participation-rate"),
+        pytest.param(["participation", "enrolled"], 8, r"^\$\.participation: enrolled \(8\) is smaller than respondents \(9\)$", id="participation-counts"),
+        pytest.param(["groups", "gender", "F", "n"], 7, r"^\$\.groups\.gender: the groups' n sum to 10, not to \$\.distribution\.n$", id="group-sizes"),
+        pytest.param(["groups", "gender", "M", "general"], -0.25, r"^\$\.groups\.gender\.M\.general: score -0\.25 is outside \[0, 1\]$", id="group-score-below-zero"),
+    ],
+)
+def test_parse_report_rejects_inconsistent_figures_with_path(report_doc, path, value, message):
+    _set(report_doc, path, value)
+    with pytest.raises(SchemaError, match=message):
+        parse_report(json.dumps(report_doc).encode())
+
+
+def test_parse_report_requires_aggregates_bit_for_bit(report_doc):
+    report_doc["general"] = math.nextafter(report_doc["general"], 0.0)
+    with pytest.raises(SchemaError, match=r"^\$\.general: .* does not match the participants"):
+        parse_report(json.dumps(report_doc).encode())
