@@ -1,9 +1,20 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation failures reported, 2 input or parse
-error, 3 internal error. Reports go to stdout (or --out); every diagnostic
-goes to stderr so output can be piped. Files are written atomically
-(temp file then rename) so an error never leaves a partial report behind.
+Exit codes come from one table in ``main``:
+
+* 0: success.
+* 1: validation failures reported: structure violations under ``validate``,
+  questionnaire violations under ``check``, a draft structure
+  (``NotConfirmedError``) or no participant left to score (``NoDataError``).
+* 2: input or parse error: any other ``SureError``, including questionnaire
+  violations under ``score``/``simulate`` and a file that cannot be read or
+  written.
+* 3: internal error: any other exception.
+
+Violations print one per line on stderr; every other failure prints one
+``error:`` line. Reports go to stdout (or --out) so output can be piped.
+Files are written atomically (temp file then rename) so an error never
+leaves a partial report behind.
 """
 
 from __future__ import annotations
@@ -12,18 +23,10 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
-from .errors import (
-    InvalidQuestionnaireError,
-    InvalidStructureError,
-    NoDataError,
-    NotConfirmedError,
-    ReportError,
-    ResponseError,
-    SchemaError,
-    SureError,
-)
+from .errors import InvalidStructureError, NoDataError, NotConfirmedError, SchemaError, SureError
 from .goal_structure import parse_structure
 from .ingest import MissingPolicy, parse_responses
 from .questionnaire import (
@@ -32,7 +35,7 @@ from .questionnaire import (
     serialize_questionnaire,
     validate_questionnaire,
 )
-from .report import build_report, render_report
+from .report import RENDER_FORMATS, build_report, render_report
 from .scoring import score_all
 from .simulate import simulate_responses
 
@@ -40,6 +43,13 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# The first matching row picks the exit code of a SureError that reaches main.
+_EXIT_CODES = (
+    (NotConfirmedError, EXIT_VIOLATIONS),
+    (NoDataError, EXIT_VIOLATIONS),
+    (SureError, EXIT_INPUT),
+)
 
 _POLICIES = {
     "exclude": MissingPolicy.EXCLUDE_PARTICIPANT,
@@ -51,6 +61,10 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _names(text: str) -> list[str]:
+    return [name for name in text.split(",") if name]
+
+
 def _read(path: str, what: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -58,112 +72,81 @@ def _read(path: str, what: str) -> bytes:
         raise SchemaError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, data: bytes, what: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=f".{target.name}.")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # strerror only: str(exc) would name the random temp file
+        raise SchemaError(f"cannot write {what} {path!r}: {exc.strerror or exc}") from exc
 
 
-def _print_violations(violations) -> None:
+def _report_violations(violations, code: int) -> int:
     for violation in violations:
         print(str(violation), file=sys.stderr)
+    return code
+
+
+def _documents(args: argparse.Namespace):
+    """Parse the structure and questionnaire; return both and the questionnaire's violations."""
+    structure = parse_structure(_read(args.structure, "goal structure"))
+    questionnaire = parse_questionnaire(_read(args.questionnaire, "questionnaire"))
+    return structure, questionnaire, validate_questionnaire(questionnaire, structure)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         parse_structure(_read(args.structure, "goal structure"))
     except InvalidStructureError as exc:
-        _print_violations(exc.violations)
-        return EXIT_VIOLATIONS
-    except SchemaError as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
+        return _report_violations(exc.violations, EXIT_VIOLATIONS)
     return EXIT_OK
 
 
 def cmd_template(args: argparse.Namespace) -> int:
-    try:
-        structure = parse_structure(_read(args.structure, "goal structure"))
-    except (SchemaError, InvalidStructureError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-    try:
-        questionnaire = generate_template(structure)
-    except NotConfirmedError as exc:
-        _fail(str(exc))
-        return EXIT_VIOLATIONS
-    _write_atomic(args.out, serialize_questionnaire(questionnaire))
+    questionnaire = generate_template(parse_structure(_read(args.structure, "goal structure")))
+    _write_atomic(args.out, serialize_questionnaire(questionnaire), "questionnaire")
     print(f"{len(questionnaire.questions)} questions")
     return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        structure = parse_structure(_read(args.structure, "goal structure"))
-        questionnaire = parse_questionnaire(_read(args.questionnaire, "questionnaire"))
-    except (SchemaError, InvalidStructureError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-    violations = validate_questionnaire(questionnaire, structure)
-    if violations:
-        _print_violations(violations)
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    _, _, violations = _documents(args)
+    return _report_violations(violations, EXIT_VIOLATIONS) if violations else EXIT_OK
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    demographics = [name for name in (args.demographics or "").split(",") if name]
-    group_by = [name for name in (args.group_by or "").split(",") if name]
-    try:
-        structure = parse_structure(_read(args.structure, "goal structure"))
-        questionnaire = parse_questionnaire(_read(args.questionnaire, "questionnaire"))
-        violations = validate_questionnaire(questionnaire, structure)
-        if violations:
-            _print_violations(violations)
-            return EXIT_INPUT
-        responses = parse_responses(
-            _read(args.responses, "response CSV"),
-            questionnaire,
-            demographics=demographics,
-            policy=_POLICIES[args.policy],
-        )
-    except (SchemaError, InvalidStructureError, ResponseError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-
+    structure, questionnaire, violations = _documents(args)
+    if violations:
+        return _report_violations(violations, EXIT_INPUT)
+    responses = parse_responses(
+        _read(args.responses, "response CSV"),
+        questionnaire,
+        demographics=args.demographics,
+        policy=_POLICIES[args.policy],
+    )
     for warning in responses.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    try:
-        scores, aggregates = score_all(responses, questionnaire, structure)
-        report = build_report(
-            scores,
-            aggregates,
-            structure,
-            responses,
-            participation=(len(responses.participants), args.enrolled) if args.enrolled is not None else None,
-            group_by=group_by or None,
-            generated_at="" if args.reproducible else None,
-        )
-    except NoDataError as exc:
-        _fail(str(exc))
-        return EXIT_VIOLATIONS
-    except (ReportError, InvalidQuestionnaireError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-
+    scores, aggregates = score_all(responses, questionnaire, structure)
+    report = build_report(
+        scores,
+        aggregates,
+        structure,
+        responses,
+        participation=(len(responses.participants), args.enrolled) if args.enrolled is not None else None,
+        group_by=args.group_by or None,
+        generated_at="" if args.reproducible else None,
+    )
     data = render_report(report, args.format)
     if args.out:
-        _write_atomic(args.out, data)
+        _write_atomic(args.out, data, "report")
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -174,17 +157,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.participants < 1:
         _fail("--participants must be at least 1")
         return EXIT_INPUT
-    try:
-        structure = parse_structure(_read(args.structure, "goal structure"))
-        questionnaire = parse_questionnaire(_read(args.questionnaire, "questionnaire"))
-        violations = validate_questionnaire(questionnaire, structure)
-        if violations:
-            _print_violations(violations)
-            return EXIT_INPUT
-    except (SchemaError, InvalidStructureError) as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-    _write_atomic(args.out, simulate_responses(questionnaire, args.participants, args.seed))
+    _, questionnaire, violations = _documents(args)
+    if violations:
+        return _report_violations(violations, EXIT_INPUT)
+    _write_atomic(args.out, simulate_responses(questionnaire, args.participants, args.seed), "response CSV")
     print(f"wrote {args.participants} participants to {args.out}")
     return EXIT_OK
 
@@ -215,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("questionnaire")
     p.add_argument("responses")
     p.add_argument("--policy", choices=sorted(_POLICIES), default="exclude", help="missing-answer policy (default: exclude)")
-    p.add_argument("--demographics", default="", help="comma-separated demographic column names")
+    p.add_argument("--demographics", type=_names, default="", help="comma-separated demographic column names")
     p.add_argument("--enrolled", type=int, default=None, help="enrolled head count for the participation rate")
-    p.add_argument("--group-by", default="", help="comma-separated demographic keys to break down by")
-    p.add_argument("--format", choices=("markdown", "json", "csv"), default="markdown")
+    p.add_argument("--group-by", type=_names, default="", help="comma-separated demographic keys to break down by")
+    p.add_argument("--format", choices=RENDER_FORMATS, default="markdown")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--reproducible", action="store_true", help="omit the timestamp so identical inputs yield identical bytes")
     p.set_defaults(func=cmd_score)
@@ -240,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SureError as exc:
         _fail(str(exc))
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 3
         _fail(f"internal error: {exc!r}")
         return EXIT_INTERNAL

@@ -26,26 +26,27 @@ class Violation:
         return f"{self.code}: {self.path}: {self.message}"
 
 
-class InvalidStructureError(SureError):
+class _ViolationsError(SureError):
+    """A document breaks invariants; ``violations`` lists every finding, ``noun`` names the document."""
+
+    def __init__(self, violations: Iterable[Violation]):
+        self.violations = list(violations)
+        super().__init__(
+            f"{self.noun} has {len(self.violations)} violation(s): "
+            + "; ".join(str(v) for v in self.violations)
+        )
+
+
+class InvalidStructureError(_ViolationsError):
     """A goal structure breaks one or more of its invariants."""
 
-    def __init__(self, violations: Iterable[Violation]):
-        self.violations = list(violations)
-        super().__init__(
-            f"goal structure has {len(self.violations)} violation(s): "
-            + "; ".join(str(v) for v in self.violations)
-        )
+    noun = "goal structure"
 
 
-class InvalidQuestionnaireError(SureError):
+class InvalidQuestionnaireError(_ViolationsError):
     """A questionnaire breaks coverage or reference invariants."""
 
-    def __init__(self, violations: Iterable[Violation]):
-        self.violations = list(violations)
-        super().__init__(
-            f"questionnaire has {len(self.violations)} violation(s): "
-            + "; ".join(str(v) for v in self.violations)
-        )
+    noun = "questionnaire"
 
 
 class NotConfirmedError(SureError):

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import sure_eval
 from sure_eval.cli import main
 from sure_eval.report import parse_report
 
@@ -282,3 +289,176 @@ def test_internal_errors_exit_three(sample_files, capsys, monkeypatch):
     code, out, err = run(capsys, "score", structure, questionnaire, responses, "--demographics", "gender")
     assert code == 3
     assert "internal error" in err
+
+
+# --- exit-code and stderr contract ---------------------------------------------
+
+DUPLICATE_ID = "duplicate_id: $.key_goals[1].sub_goals[0]: id 'A11' is already used"
+UNCOVERED = (
+    "uncovered_sub_goal: $.questions: sub goal 'A11' has no question\n"
+    "uncovered_sub_goal: $.questions: sub goal 'A26' has no question\n"
+)
+EXCLUDED_S004 = "warning: participant 'S004' excluded: missing answers for Q_A26\n"
+NOT_JSON = "is not valid JSON: Expecting property name enclosed in double quotes (line 1, column 2)"
+
+
+@pytest.fixture()
+def broken_inputs(sample_files):
+    """Write one faulty variant of each sample file next to the sample."""
+    structure, questionnaire, responses = sample_files
+    folder = structure.parent
+    doc = json.loads(structure.read_text())
+    doc["key_goals"][1]["sub_goals"][0]["id"] = "A11"
+    (folder / "invalid.json").write_text(json.dumps(doc))
+    doc = json.loads(structure.read_text())
+    doc["status"] = "draft"
+    doc["confirmation"] = None
+    (folder / "draft.json").write_text(json.dumps(doc))
+    doc = json.loads(questionnaire.read_text())
+    doc["questions"] = [q for q in doc["questions"] if q["sub_goal"] not in ("A11", "A26")]
+    (folder / "uncovered.json").write_text(json.dumps(doc))
+    (folder / "garbled.json").write_bytes(b"{not json")
+    text = responses.read_text()
+    (folder / "header.csv").write_text(text.splitlines()[0] + "\n")
+    (folder / "zero.csv").write_bytes(b"")
+    (folder / "range.csv").write_text(text.replace("S005,M,2", "S005,M,7", 1))
+    (folder / "dupe.csv").write_text(text.replace("S010,", "S001,", 1))
+    return folder
+
+
+S, Q, R = "{tmp}/structure.json", "{tmp}/questionnaire.json", "{tmp}/responses.csv"
+SIMULATE_OUT = ("{tmp}/sim.csv", "--participants", "3")
+
+FAILURES = [
+    # (id, argv, exit code, stderr); "{tmp}" is the folder holding the inputs
+    ("validate-missing-file", ["validate", "{tmp}/nope.json"], 2,
+     "error: cannot read goal structure '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
+    ("validate-garbled", ["validate", "{tmp}/garbled.json"], 2, f"error: goal structure {NOT_JSON}\n"),
+    ("validate-invalid-structure", ["validate", "{tmp}/invalid.json"], 1, f"{DUPLICATE_ID}\n"),
+    ("template-missing-structure", ["template", "{tmp}/nope.json", "{tmp}/q.json"], 2,
+     "error: cannot read goal structure '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
+    ("template-invalid-structure", ["template", "{tmp}/invalid.json", "{tmp}/q.json"], 2,
+     f"error: goal structure has 1 violation(s): {DUPLICATE_ID}\n"),
+    ("template-draft", ["template", "{tmp}/draft.json", "{tmp}/q.json"], 1,
+     "error: structure_not_confirmed: confirm the goal structure before generating a template\n"),
+    ("check-invalid-structure", ["check", "{tmp}/invalid.json", Q], 2,
+     f"error: goal structure has 1 violation(s): {DUPLICATE_ID}\n"),
+    ("check-missing-questionnaire", ["check", S, "{tmp}/nope.json"], 2,
+     "error: cannot read questionnaire '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
+    ("check-garbled-questionnaire", ["check", S, "{tmp}/garbled.json"], 2, f"error: questionnaire {NOT_JSON}\n"),
+    ("check-uncovered", ["check", S, "{tmp}/uncovered.json"], 1, UNCOVERED),
+    ("score-invalid-structure", ["score", "{tmp}/invalid.json", Q, R], 2,
+     f"error: goal structure has 1 violation(s): {DUPLICATE_ID}\n"),
+    ("score-garbled-questionnaire", ["score", S, "{tmp}/garbled.json", R], 2, f"error: questionnaire {NOT_JSON}\n"),
+    ("score-uncovered", ["score", S, "{tmp}/uncovered.json", R], 2, UNCOVERED),
+    ("score-missing-responses", ["score", S, Q, "{tmp}/nope.csv"], 2,
+     "error: cannot read response CSV '{tmp}/nope.csv': [Errno 2] No such file or directory: '{tmp}/nope.csv'\n"),
+    ("score-zero-byte", ["score", S, Q, "{tmp}/zero.csv"], 2, "error: empty response file: no header row\n"),
+    ("score-undeclared-demographic", ["score", S, Q, R], 2,
+     "error: header mismatch: undeclared column(s): gender (row 1)\n"),
+    ("score-out-of-range", ["score", S, Q, "{tmp}/range.csv", "--demographics", "gender"], 2,
+     "error: answer 7 out of range 0..4 (row 6, column 'Q_A11')\n"),
+    ("score-duplicate-participant", ["score", S, Q, "{tmp}/dupe.csv", "--demographics", "gender"], 2,
+     "error: duplicate participant_id 'S001' (row 11, column 'participant_id')\n"),
+    ("score-header-only", ["score", S, Q, "{tmp}/header.csv", "--demographics", "gender"], 1,
+     "error: no_data: zero retained participants\n"),
+    ("score-unknown-group-key", ["score", S, Q, R, "--demographics", "gender", "--group-by", "program"], 2,
+     EXCLUDED_S004 + "error: group_by key 'program' is not a declared demographic ('gender',)\n"),
+    ("score-enrolled-below-respondents", ["score", S, Q, R, "--demographics", "gender", "--enrolled", "3"], 2,
+     EXCLUDED_S004 + "error: enrolled (3) is smaller than respondents (9)\n"),
+    ("score-enrolled-zero", ["score", S, Q, R, "--demographics", "gender", "--enrolled", "0"], 2,
+     EXCLUDED_S004 + "error: enrolled count must be at least 1\n"),
+    ("simulate-invalid-structure", ["simulate", "{tmp}/invalid.json", Q, *SIMULATE_OUT], 2,
+     f"error: goal structure has 1 violation(s): {DUPLICATE_ID}\n"),
+    ("simulate-missing-questionnaire", ["simulate", S, "{tmp}/nope.json", *SIMULATE_OUT], 2,
+     "error: cannot read questionnaire '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
+    ("simulate-uncovered", ["simulate", S, "{tmp}/uncovered.json", *SIMULATE_OUT], 2, UNCOVERED),
+    ("simulate-zero-participants", ["simulate", S, Q, "{tmp}/sim.csv", "--participants", "0"], 2,
+     "error: --participants must be at least 1\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_err",
+    [case[1:] for case in FAILURES],
+    ids=[case[0] for case in FAILURES],
+)
+def test_failure_exit_code_and_stderr(broken_inputs, capsys, argv, expected_code, expected_err):
+    tmp = str(broken_inputs)
+    code, out, err = run(capsys, *(arg.replace("{tmp}", tmp) for arg in argv))
+    assert (code, err) == (expected_code, expected_err.replace("{tmp}", tmp))
+    assert out == ""
+    assert not (broken_inputs / "q.json").exists() and not (broken_inputs / "sim.csv").exists()
+
+
+def test_internal_error_message(sample_files, capsys, monkeypatch):
+    structure, questionnaire, responses = sample_files
+    import sure_eval.cli as cli_module
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "score_all", boom)
+    code, out, err = run(capsys, "score", structure, questionnaire, responses, "--demographics", "gender")
+    assert (code, err) == (3, EXCLUDED_S004 + "error: internal error: RuntimeError('boom')\n")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["template", S, "{tmp}/no/dir.json"], "questionnaire"),
+        (["score", S, Q, R, "--demographics", "gender", "--out", "{tmp}/no/dir.md"], "report"),
+        (["simulate", S, Q, "{tmp}/no/dir.csv", "--participants", "3"], "response CSV"),
+    ],
+    ids=["template", "score", "simulate"],
+)
+def test_write_to_missing_directory_is_input_error(sample_files, capsys, argv, what):
+    tmp = str(sample_files[0].parent)
+    argv = [arg.replace("{tmp}", tmp) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    target = next(arg for arg in argv if "/no/dir." in arg)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: cannot write {what} {target!r}: No such file or directory"
+    assert out == ""
+
+
+def test_failed_replace_leaves_no_temp_file(sample_files, capsys):
+    structure, questionnaire, responses = sample_files
+    target = structure.parent / "report.md"
+    target.mkdir()  # a directory cannot be replaced by a file
+    code, out, err = run(
+        capsys, "score", structure, questionnaire, responses, "--demographics", "gender", "--out", target,
+    )
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: cannot write report {str(target)!r}: Is a directory"
+    assert list(structure.parent.glob(".report.md.*")) == []
+
+
+# --- the installed entry point -----------------------------------------------------
+
+
+def run_module(*argv):
+    """Run ``python -m sure_eval`` in a child process on this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(sure_eval.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "sure_eval", *(str(a) for a in argv)], env=env, capture_output=True, check=False,
+    )
+
+
+GOLDEN_ARGS = ("--demographics", "gender", "--group-by", "gender", "--enrolled", "20", "--reproducible")
+
+
+def test_module_entry_point_writes_golden_report(sample_files):
+    result = run_module("score", *sample_files, *GOLDEN_ARGS)
+    assert result.returncode == 0
+    assert result.stdout == (Path(__file__).parent / "goldens" / "online_course.report.md").read_bytes()
+
+
+def test_module_entry_point_exit_code(broken_inputs):
+    result = run_module("score", broken_inputs / "structure.json", broken_inputs / "questionnaire.json",
+                        broken_inputs / "header.csv", "--demographics", "gender")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == b"error: no_data: zero retained participants\n"
