@@ -1,17 +1,26 @@
-"""Strict JSON documents: each layout is declared once, as a shape, and checked in one pass.
+"""Strict JSON documents: each layout is declared once, as a shape, which both checks what is read and lays out what is written.
 
 A shape is a nested literal: ``str``, ``int`` or ``float`` for a JSON
-string, integer (not ``true``/``false``) or number (not an integer);
+string, integer (not ``true``/``false``) or finite number (not an integer);
 ``[item]`` for an array of ``item``; ``{"field": shape, ...}`` for an
 object with exactly these fields; ``{str: shape}`` for an object used as a
 map; ``Nullable(shape)`` for ``null`` or ``shape``; a tuple of strings
 for one of those strings.
+
+``check(value, shape)`` names the JSON path of the first part of a
+document that does not fit its shape. ``dumps(value, shape)`` checks a value
+against the same shape and then writes it, in the shape's field order with
+two-space indentation, so the reader accepts the layout of every document
+the writer writes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple
+from functools import partial
+from json.encoder import encode_basestring
+from math import isfinite
+from typing import Any, Callable, NamedTuple
 
 from .errors import SchemaError
 
@@ -61,7 +70,7 @@ _JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean", 
 
 
 def _wrong(value: Any, expected: type) -> _Mismatch:
-    got = value if type(value) is _NonFinite else _JSON_TYPES[type(value)]
+    got = value if type(value) is _NonFinite else _JSON_TYPES.get(type(value), type(value).__name__)  # a written value may be no JSON type
     return _Mismatch(f"expected {_EXPECTED[expected]}, got {got}")
 
 
@@ -70,6 +79,8 @@ def _check(value: Any, shape: Any) -> None:
     if kind is type:
         if type(value) is not shape:
             raise _wrong(value, shape)
+        if shape is float and not isfinite(value):
+            raise _Mismatch(f"expected a number, got {json.dumps(value)}")  # NaN, Infinity or -Infinity, as a loaded one is named
     elif kind is Nullable:
         if value is not None:
             _check(value, shape.shape)
@@ -92,8 +103,9 @@ def _check(value: Any, shape: Any) -> None:
     else:
         try:
             for key, field_shape in shape.items():
-                if type(value[key]) is not field_shape:  # a matching leaf needs no call
-                    _check(value[key], field_shape)
+                field = value[key]
+                if type(field) is not field_shape or field_shape is float and not isfinite(field):  # a matching leaf needs no call
+                    _check(field, field_shape)
         except _Mismatch as exc:
             exc.path.append(f".{key}")
             raise
@@ -101,7 +113,7 @@ def _check(value: Any, shape: Any) -> None:
 
 def _check_each(pairs, values, shape: Any, step: str) -> None:
     """Check the elements of an array or the values of a map; pairs gives (index or key, value)."""
-    if type(shape) is type and {*map(type, values)} <= {shape}:
+    if type(shape) is type and {*map(type, values)} <= {shape} and (shape is not float or all(map(isfinite, values))):
         return  # every leaf matches: the common case, without a Python-level call per value
     try:
         for key, item in pairs:
@@ -111,6 +123,52 @@ def _check_each(pairs, values, shape: Any, step: str) -> None:
         raise
 
 
-def dumps(obj: Any) -> bytes:
-    """Serialize with a fixed layout so identical values yield identical bytes."""
-    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def dumps(value: Any, shape: Any) -> bytes:
+    """Write value as UTF-8 JSON laid out by shape: two-space indentation, fields in the shape's order, a final newline.
+
+    value is first checked against shape, so a value the reader would reject
+    (a boolean where an integer belongs, a NaN, a missing field) raises
+    SchemaError, naming its JSON path, instead of being written. For a value
+    that passes, with its records' fields in the shape's order, the bytes are
+    those of ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``.
+    """
+    check(value, shape)
+    # Compiling the shape takes tens of microseconds, so each call compiles its own and no cache outlives it.
+    return (_writer(shape, "\n")(value) + "\n").encode("utf-8")
+
+
+_LEAF_WRITERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
+
+
+def _writer(shape: Any, pad: str) -> Callable[[Any], str]:
+    """Compile shape into a function that writes one checked value of it; pad is the newline and indentation of the value's own line."""
+    inner = pad + "  "
+    kind = type(shape)
+    if kind is type:
+        return _LEAF_WRITERS[shape]
+    if kind is tuple:
+        return encode_basestring
+    if kind is Nullable:
+        write = _writer(shape.shape, pad)
+        return lambda value: "null" if value is None else write(value)
+    if kind is list:
+        items = partial(map, _writer(shape[0], inner))
+        return partial(_container, items, "[" + inner, "," + inner, pad + "]", "[]")
+    if str in shape:
+        write_value = _writer(shape[str], inner)
+
+        def entries(value: dict) -> Any:
+            return map("{}: {}".format, map(encode_basestring, value), map(write_value, value.values()))
+
+        return partial(_container, entries, "{" + inner, "," + inner, pad + "}", "{}")
+    fields = [
+        (("," if i else "{") + inner + encode_basestring(name) + ": ", name, _writer(field, inner))
+        for i, (name, field) in enumerate(shape.items())
+    ]
+    close = pad + "}"
+    return lambda value: "".join([prefix + write(value[name]) for prefix, name, write in fields]) + close
+
+
+def _container(items: Callable[[Any], Any], open_: str, separator: str, close: str, empty: str, value: Any) -> str:
+    """An array or map: items gives the text of each element or entry, one C-level map over the leaf writers for leaves."""
+    return "".join((open_, separator.join(items(value)), close)) if value else empty

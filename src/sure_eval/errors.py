@@ -36,6 +36,10 @@ class _ViolationsError(SureError):
             + "; ".join(str(v) for v in self.violations)
         )
 
+    def __reduce__(self):
+        # Exception.__reduce__ would pass the message string back in as the violations.
+        return type(self), (self.violations,)
+
 
 class InvalidStructureError(_ViolationsError):
     """A goal structure breaks one or more of its invariants."""

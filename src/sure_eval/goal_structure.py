@@ -127,7 +127,8 @@ def serialize_structure(structure: GoalStructure) -> bytes:
                 }
                 for key_goal in structure.key_goals
             ],
-        }
+        },
+        STRUCTURE_SHAPE,
     )
 
 

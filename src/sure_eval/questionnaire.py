@@ -206,5 +206,6 @@ def serialize_questionnaire(questionnaire: Questionnaire) -> bytes:
                 {"id": question.id, "text": question.text, "sub_goal": question.sub_goal}
                 for question in questionnaire.questions
             ],
-        }
+        },
+        QUESTIONNAIRE_SHAPE,
     )

@@ -133,7 +133,7 @@ def render_report(report: ScoreReport, format: str) -> bytes:
     if format == "markdown":
         return _render_markdown(report).encode("utf-8")
     if format == "json":
-        return _schema.dumps(_report_to_obj(report))
+        return _schema.dumps(_report_to_obj(report), REPORT_SHAPE)
     if format == "csv":
         return _render_csv(report).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
@@ -247,8 +247,8 @@ def _aggregates_to_obj(agg: AggregateScores) -> dict:
         "n_max": agg.n_overall_max,
         "n_zero": agg.n_overall_zero,
         "general": agg.general,
-        "key_goals": dict(agg.key_goal),
-        "sub_goals": dict(agg.sub_goal),
+        "key_goals": agg.key_goal,
+        "sub_goals": agg.sub_goal,
     }
 
 
@@ -275,8 +275,8 @@ def _report_to_obj(report: ScoreReport) -> dict:
             {
                 "id": score.participant_id,
                 "overall": score.overall,
-                "key_goals": dict(score.key_goal_scores),
-                "sub_goals": dict(score.sub_goal_scores),
+                "key_goals": score.key_goal_scores,
+                "sub_goals": score.sub_goal_scores,
             }
             for score in report.participants
         ],
