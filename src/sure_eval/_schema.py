@@ -20,7 +20,7 @@ import json
 from functools import partial
 from json.encoder import encode_basestring
 from math import isfinite
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import SchemaError
 
@@ -134,7 +134,38 @@ def dumps(value: Any, shape: Any) -> bytes:
     """
     check(value, shape)
     # Compiling the shape takes tens of microseconds, so each call compiles its own and no cache outlives it.
-    return (_writer(shape, "\n")(value) + "\n").encode("utf-8")
+    return b"".join(map(str.encode, _pieces(value, shape)))
+
+
+def _pieces(value: Any, shape: Any) -> Iterator[str]:
+    """The text of a checked value, final newline included, in pieces that dumps encodes one by one and joins once.
+
+    A record comes field by field, and an array or map field element by
+    element, so the only copy of the whole text is the bytes dumps returns.
+    Joining a field on its own and copying it into the document made two to
+    four copies of a 25k-row report's 15 MB participants array, and how many
+    were alive at once depended on how the allocator reused freed blocks, so
+    the peak memory of a write moved by 15 MB from one input to the next.
+    """
+    if type(shape) is not dict or str in shape:
+        yield _writer(shape, "\n")(value)
+    else:
+        for prefix, name, field in _fields(shape, "\n"):
+            yield prefix
+            field_value = value[name]
+            if (type(field) is list or type(field) is dict and str in field) and field_value:
+                items, open_, separator, close, _ = _elements(field, "\n  ")
+                elements = items(field_value)
+                yield open_
+                yield next(elements)
+                for element in elements:
+                    yield separator
+                    yield element
+                yield close
+            else:
+                yield _writer(field, "\n  ")(field_value)
+        yield "\n}"
+    yield "\n"
 
 
 _LEAF_WRITERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
@@ -142,7 +173,6 @@ _LEAF_WRITERS = {str: encode_basestring, int: int.__repr__, float: float.__repr_
 
 def _writer(shape: Any, pad: str) -> Callable[[Any], str]:
     """Compile shape into a function that writes one checked value of it; pad is the newline and indentation of the value's own line."""
-    inner = pad + "  "
     kind = type(shape)
     if kind is type:
         return _LEAF_WRITERS[shape]
@@ -151,24 +181,32 @@ def _writer(shape: Any, pad: str) -> Callable[[Any], str]:
     if kind is Nullable:
         write = _writer(shape.shape, pad)
         return lambda value: "null" if value is None else write(value)
-    if kind is list:
-        items = partial(map, _writer(shape[0], inner))
-        return partial(_container, items, "[" + inner, "," + inner, pad + "]", "[]")
-    if str in shape:
-        write_value = _writer(shape[str], inner)
-
-        def entries(value: dict) -> Any:
-            return map("{}: {}".format, map(encode_basestring, value), map(write_value, value.values()))
-
-        return partial(_container, entries, "{" + inner, "," + inner, pad + "}", "{}")
-    fields = [
-        (("," if i else "{") + inner + encode_basestring(name) + ": ", name, _writer(field, inner))
-        for i, (name, field) in enumerate(shape.items())
-    ]
+    if kind is list or str in shape:
+        return partial(_container, *_elements(shape, pad))
+    fields = [(prefix, name, _writer(field, pad + "  ")) for prefix, name, field in _fields(shape, pad)]
     close = pad + "}"
     return lambda value: "".join([prefix + write(value[name]) for prefix, name, write in fields]) + close
 
 
-def _container(items: Callable[[Any], Any], open_: str, separator: str, close: str, empty: str, value: Any) -> str:
+def _fields(shape: dict, pad: str) -> list[tuple[str, str, Any]]:
+    """Each field of a record shape: the text before its value, its name and its shape."""
+    inner = pad + "  "
+    return [(("," if i else "{") + inner + encode_basestring(name) + ": ", name, field) for i, (name, field) in enumerate(shape.items())]
+
+
+def _elements(shape: Any, pad: str) -> tuple[Callable[[Any], Iterator[str]], str, str, str, str]:
+    """An array or map shape: a function giving the text of each element or entry, the text before the first and before each later one, the closing text, and the empty container."""
+    inner = pad + "  "
+    if type(shape) is list:
+        return partial(map, _writer(shape[0], inner)), "[" + inner, "," + inner, pad + "]", "[]"
+    write_value = _writer(shape[str], inner)
+
+    def entries(value: dict) -> Iterator[str]:
+        return map("{}: {}".format, map(encode_basestring, value), map(write_value, value.values()))
+
+    return entries, "{" + inner, "," + inner, pad + "}", "{}"
+
+
+def _container(items: Callable[[Any], Iterator[str]], open_: str, separator: str, close: str, empty: str, value: Any) -> str:
     """An array or map: items gives the text of each element or entry, one C-level map over the leaf writers for leaves."""
     return "".join((open_, separator.join(items(value)), close)) if value else empty

@@ -51,6 +51,13 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2(name, data):
     check(json.loads(written), shape)
 
 
+@pytest.mark.parametrize("shape", [[{"a": str, "b": [int]}], {str: {str: float}}, Nullable({"a": [str]}), float])
+@given(data=st.data())
+def test_dumps_writes_a_document_that_is_not_a_record(shape, data):
+    value = data.draw(values(shape))
+    assert dumps(value, shape) == (json.dumps(value, indent=2, ensure_ascii=False) + "\n").encode()
+
+
 @pytest.fixture()
 def report():
     return json.loads(GOLDEN_REPORT.read_bytes())
