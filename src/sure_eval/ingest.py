@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .errors import ResponseError
 from .questionnaire import Questionnaire, Scale
@@ -59,8 +60,10 @@ def parse_responses(
     The header must contain exactly: participant_id first, then the declared
     demographic columns and one column per question id, in any order.
     Out-of-range or non-integer cells are errors with their row and column
-    reported; blanks become missing answers and are resolved by the policy,
-    each resolution producing one warning. Row order is preserved.
+    reported, and a record the csv module cannot read (a cell longer than
+    csv.field_size_limit()) is an error naming its row; blanks become missing
+    answers and are resolved by the policy, each resolution producing one
+    warning. Row order is preserved.
     """
     if isinstance(data, bytes):
         try:
@@ -74,13 +77,22 @@ def parse_responses(
     if not lines or not lines[0].strip():
         raise ResponseError("empty response file: no header row")
 
-    rows = list(csv.reader(lines))
+    reader = csv.reader(lines)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise ResponseError(f"cannot read CSV record: {exc}", row=reader.line_num) from None
     header = rows[0]
     question_ids = questionnaire.question_ids()
     _check_header(header, question_ids, demographics)
 
     column_of = {name: i for i, name in enumerate(header)}
     max_code = questionnaire.scale.max_code
+    # Bound once: the question cells of a row in questionnaire order, and the
+    # exact text of each valid code. A row with a cell outside the table
+    # (blank, padded, signed, invalid) goes through _read_answers instead.
+    question_cells = _columns([column_of[question_id] for question_id in question_ids])
+    code_of = {str(code): code for code in range(max_code + 1)}.__getitem__
 
     participants: list[ParticipantRecord] = []
     warnings: list[str] = []
@@ -103,25 +115,11 @@ def parse_responses(
 
         demographic_values = {name: row[column_of[name]].strip() for name in demographics}
 
-        answers: dict[str, int | None] = {}  # None marks a blank cell until the policy resolves it
-        missing: list[str] = []
-        for question_id in question_ids:
-            cell = row[column_of[question_id]].strip()
-            if cell == "":
-                answers[question_id] = None
-                missing.append(question_id)
-                continue
-            try:
-                code = int(cell)
-            except ValueError:
-                raise ResponseError(
-                    f"answer {cell!r} is not an integer", row=line_no, column=question_id
-                ) from None
-            if not 0 <= code <= max_code:
-                raise ResponseError(
-                    f"answer {code} out of range 0..{max_code}", row=line_no, column=question_id
-                )
-            answers[question_id] = code
+        cells = question_cells(row)
+        try:
+            answers, missing = dict(zip(question_ids, map(code_of, cells))), []
+        except KeyError:  # a cell outside the table
+            answers, missing = _read_answers(cells, question_ids, max_code, line_no)
 
         if missing:
             if policy is MissingPolicy.EXCLUDE_PARTICIPANT:
@@ -150,6 +148,39 @@ def parse_responses(
         demographics=tuple(demographics),
         warnings=tuple(warnings),
     )
+
+
+def _columns(keys: Sequence) -> Callable[[Sequence | Mapping], tuple]:
+    """itemgetter(*keys), but returning a tuple for one key or none too."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda row: tuple(row[key] for key in keys)
+
+
+def _read_answers(
+    cells: Sequence[str], question_ids: list[str], max_code: int, line_no: int
+) -> tuple[dict[str, int | None], list[str]]:
+    """Read one row's answer cells one by one; None marks a blank cell until the policy resolves it."""
+    answers: dict[str, int | None] = {}
+    missing: list[str] = []
+    for question_id, cell in zip(question_ids, cells):
+        cell = cell.strip()
+        if cell == "":
+            answers[question_id] = None
+            missing.append(question_id)
+            continue
+        try:
+            code = int(cell)
+        except ValueError:
+            raise ResponseError(
+                f"answer {cell!r} is not an integer", row=line_no, column=question_id
+            ) from None
+        if not 0 <= code <= max_code:
+            raise ResponseError(
+                f"answer {code} out of range 0..{max_code}", row=line_no, column=question_id
+            )
+        answers[question_id] = code
+    return answers, missing
 
 
 def _check_header(header: list[str], question_ids: list[str], demographics: Sequence[str]) -> None:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _schema
 from .errors import ReportError, SchemaError
 from .goal_structure import GoalStructure, KeyGoal, key_goals_from_obj, validate_structure
-from .ingest import ResponseSet
+from .ingest import ResponseSet, _columns
 from .scoring import AggregateScores, ParticipantScore, aggregate_scores
 
 RENDER_FORMATS = ("markdown", "json", "csv")
@@ -430,6 +430,30 @@ def _check_consistent(report: ScoreReport) -> None:
 # --- csv --------------------------------------------------------------------
 
 
+class _Reprs(dict):
+    """repr(value) for each value looked up, computed once per distinct value.
+
+    Zeros are not kept: 0.0 and -0.0 are equal keys but have different reprs.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _participant_rows(participants: Iterable[ParticipantScore], key_ids: list[str], sub_ids: list[str]) -> Iterator[tuple]:
+    """Rows of the participants section, scores as floats, which csv.writer writes as their repr.
+
+    Sub-goal scores take few distinct values, so each value is formatted
+    once, by a cache that lives only while the rows are written.
+    """
+    key_scores, sub_scores, text = _columns(key_ids), _columns(sub_ids), _Reprs()
+    for score in participants:
+        yield (score.participant_id, score.overall, *key_scores(score.key_goal_scores), *map(text.__getitem__, sub_scores(score.sub_goal_scores)))
+
+
 def _render_csv(report: ScoreReport) -> str:
     agg = report.aggregates
     out = io.StringIO()
@@ -484,15 +508,7 @@ def _render_csv(report: ScoreReport) -> str:
     key_ids = [key_goal.id for key_goal in report.key_goals]
     sub_ids = [sub.id for key_goal in report.key_goals for sub in key_goal.sub_goals]
     writer.writerow(["participant_id", "overall", *key_ids, *sub_ids])
-    for score in report.participants:
-        writer.writerow(
-            [
-                score.participant_id,
-                repr(score.overall),
-                *(repr(score.key_goal_scores[key_id]) for key_id in key_ids),
-                *(repr(score.sub_goal_scores[sub_id]) for sub_id in sub_ids),
-            ]
-        )
+    writer.writerows(_participant_rows(report.participants, key_ids, sub_ids))
 
     if report.warnings:
         out.write("# warnings\n")

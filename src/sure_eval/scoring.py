@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import InvalidQuestionnaireError, NoDataError
 from .goal_structure import GoalStructure, SubGoal
-from .ingest import ParticipantRecord, ResponseSet, normalize
+from .ingest import ParticipantRecord, ResponseSet, _columns, normalize
 from .questionnaire import Questionnaire, validate_questionnaire
 
 
@@ -146,13 +146,23 @@ def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructur
         raise NoDataError("no_data: zero retained participants")
     n = len(scores)
     overalls = [score.overall for score in scores]
-    key_maps = [score.key_goal_scores for score in scores]
-    sub_maps = [score.sub_goal_scores for score in scores]
     return AggregateScores(
         general=reduce(add, overalls, 0.0) / n,
-        key_goal={kg.id: reduce(add, map(itemgetter(kg.id), key_maps), 0.0) / n for kg in structure.key_goals},
-        sub_goal={sub.id: reduce(add, map(itemgetter(sub.id), sub_maps), 0.0) / n for sub in structure.sub_goals()},
+        key_goal=_means([score.key_goal_scores for score in scores], [kg.id for kg in structure.key_goals]),
+        sub_goal=_means([score.sub_goal_scores for score in scores], structure.sub_goal_ids()),
         n_participants=n,
         n_overall_max=overalls.count(1.0),
         n_overall_zero=overalls.count(0.0),
     )
+
+
+def _means(maps: Sequence[Mapping[str, float]], ids: Sequence[str]) -> dict[str, float]:
+    """Mean of each id's scores over maps.
+
+    One running total per id, all advanced together map by map: each id's
+    sum is the same left-to-right sum as reduce(add, column, 0.0).
+    """
+    totals = [0.0] * len(ids)
+    for values in map(_columns(ids), maps):
+        totals = list(map(add, totals, values))
+    return {name: total / len(maps) for name, total in zip(ids, totals)}

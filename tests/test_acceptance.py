@@ -289,7 +289,7 @@ def test_criterion_7_report_golden_files(sample_files, tmp_path, capsys):
     with _criterion(7, "report golden files"):
         structure, questionnaire, responses = sample_files
         rendered = {}
-        for fmt, suffix in (("markdown", "md"), ("json", "json")):
+        for fmt, suffix in (("markdown", "md"), ("json", "json"), ("csv", "csv")):
             out_path = tmp_path / f"report.{suffix}"
             code = main(["score", str(structure), str(questionnaire), str(responses),
                          "--format", fmt, "--out", str(out_path), *GOLDEN_ARGS])
@@ -299,6 +299,7 @@ def test_criterion_7_report_golden_files(sample_files, tmp_path, capsys):
 
         assert rendered["markdown"] == (GOLDEN_DIR / "online_course.report.md").read_bytes()
         assert rendered["json"] == (GOLDEN_DIR / "online_course.report.json").read_bytes()
+        assert rendered["csv"] == (GOLDEN_DIR / "online_course.report.csv").read_bytes()
 
         # lossless json round-trip
         report = parse_report(rendered["json"])

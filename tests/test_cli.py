@@ -323,6 +323,7 @@ def broken_inputs(sample_files):
     (folder / "zero.csv").write_bytes(b"")
     (folder / "range.csv").write_text(text.replace("S005,M,2", "S005,M,7", 1))
     (folder / "dupe.csv").write_text(text.replace("S010,", "S001,", 1))
+    (folder / "huge.csv").write_text(text.replace("S005,", "S" * 200_000 + ",", 1))
     return folder
 
 
@@ -360,6 +361,8 @@ FAILURES = [
      "error: answer 7 out of range 0..4 (row 6, column 'Q_A11')\n"),
     ("score-duplicate-participant", ["score", S, Q, "{tmp}/dupe.csv", "--demographics", "gender"], 2,
      "error: duplicate participant_id 'S001' (row 11, column 'participant_id')\n"),
+    ("score-oversized-cell", ["score", S, Q, "{tmp}/huge.csv", "--demographics", "gender"], 2,
+     "error: cannot read CSV record: field larger than field limit (131072) (row 6)\n"),
     ("score-header-only", ["score", S, Q, "{tmp}/header.csv", "--demographics", "gender"], 1,
      "error: no_data: zero retained participants\n"),
     ("score-unknown-group-key", ["score", S, Q, R, "--demographics", "gender", "--group-by", "program"], 2,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -154,3 +156,138 @@ def test_parse_is_deterministic(questionnaire, responses_bytes):
     second = parse_responses(responses_bytes, questionnaire, demographics=["gender"])
     assert first == second
     assert first.warnings == second.warnings
+
+
+def test_oversized_cell_is_error_naming_its_row(questionnaire):
+    rows = [full_row("P1", questionnaire, 1), full_row("P" * 200_000, questionnaire, 2), full_row("P3", questionnaire, 3)]
+    with pytest.raises(ResponseError) as err:
+        parse_responses(csv_for(questionnaire, rows), questionnaire)
+    assert str(err.value) == "cannot read CSV record: field larger than field limit (131072) (row 3)"
+    assert (err.value.row, err.value.column) == (3, None)
+
+
+# --- cells outside the "0".."L-1" lookup keep the per-cell rules -------------
+
+
+def parse_one(questionnaire, cells, header=None, policy=MissingPolicy.EXCLUDE_PARTICIPANT):
+    """Parse one row: cells maps a column index among the questions to its text, the rest answer 1."""
+    row = full_row("P1", questionnaire, 1)
+    for index, cell in cells.items():
+        row[1 + index] = cell
+    return parse_responses(csv_for(questionnaire, [row], header=header), questionnaire, policy=policy)
+
+
+@pytest.mark.parametrize("cell", [" 3 ", "03", "+3", "\t3", "3 ", "0003"])
+def test_padded_or_signed_code_reads_as_its_value(questionnaire, cell):
+    answers = parse_one(questionnaire, {4: cell}).participants[0].answers
+    question_ids = questionnaire.question_ids()
+    assert answers == {**dict.fromkeys(question_ids, 1), question_ids[4]: 3}
+    assert list(answers) == question_ids
+
+
+@pytest.mark.parametrize("cell", ["3.0", "x", "3x", "1e0", "0x3"])
+def test_non_integer_cell_names_row_and_column(questionnaire, cell):
+    with pytest.raises(ResponseError) as err:
+        parse_one(questionnaire, {4: cell})
+    assert str(err.value) == f"answer {cell!r} is not an integer (row 2, column {questionnaire.question_ids()[4]!r})"
+
+
+@pytest.mark.parametrize("cell, code", [("5", 5), ("-1", -1), (" 7 ", 7), ("10", 10)])
+def test_out_of_range_code_names_row_and_column(questionnaire, cell, code):
+    with pytest.raises(ResponseError) as err:
+        parse_one(questionnaire, {4: cell})
+    assert str(err.value) == f"answer {code} out of range 0..4 (row 2, column {questionnaire.question_ids()[4]!r})"
+
+
+@pytest.mark.parametrize("cell", ["", " ", "\t "])
+def test_blank_cell_is_missing(questionnaire, cell):
+    blanked = questionnaire.question_ids()[7]
+    excluded = parse_one(questionnaire, {7: cell})
+    assert excluded.participants == ()
+    assert excluded.warnings == (f"participant 'P1' excluded: missing answers for {blanked}",)
+    zeroed = parse_one(questionnaire, {7: cell}, policy=MissingPolicy.TREAT_AS_ZERO)
+    assert zeroed.participants[0].answers[blanked] == 0
+    assert zeroed.warnings == (f"participant 'P1': missing answers treated as 0 for {blanked}",)
+
+
+def test_first_bad_cell_in_questionnaire_order_is_reported(questionnaire):
+    question_ids = questionnaire.question_ids()
+    with pytest.raises(ResponseError) as err:
+        parse_one(questionnaire, {3: "9", 12: "x"})
+    assert (err.value.row, err.value.column) == (2, question_ids[3])
+    # with the columns reversed, the questionnaire's order still decides
+    header = ["participant_id", *reversed(question_ids)]
+    with pytest.raises(ResponseError) as err:
+        parse_one(questionnaire, {3: "9", 12: "x"}, header=header)
+    assert (err.value.row, err.value.column) == (2, question_ids[-13])
+    assert str(err.value).startswith("answer 'x' is not an integer")
+
+
+def reference_parse(rows, question_ids, max_code, policy):
+    """The ingest rules applied cell by cell: strip, blank is missing, int(), range check.
+
+    Returns ("error", message) for the first bad cell, in row then questionnaire
+    order, else ("ok", [(participant id, answers)], warnings).
+    """
+    participants, warnings = [], []
+    for line_no, (participant_id, *cells) in enumerate(rows, start=2):
+        answers, missing = {}, []
+        for question_id, raw in zip(question_ids, cells):
+            cell = raw.strip()
+            if cell == "":
+                answers[question_id] = None
+                missing.append(question_id)
+                continue
+            try:
+                code = int(cell)
+            except ValueError:
+                return "error", f"answer {cell!r} is not an integer (row {line_no}, column {question_id!r})"
+            if not 0 <= code <= max_code:
+                return "error", f"answer {code} out of range 0..{max_code} (row {line_no}, column {question_id!r})"
+            answers[question_id] = code
+        if missing and policy is MissingPolicy.EXCLUDE_PARTICIPANT:
+            warnings.append(f"participant {participant_id!r} excluded: missing answers for {', '.join(missing)}")
+            continue
+        if missing:
+            warnings.append(f"participant {participant_id!r}: missing answers treated as 0 for {', '.join(missing)}")
+            answers.update(dict.fromkeys(missing, 0))
+        participants.append((participant_id, answers))
+    return "ok", participants, warnings
+
+
+CELLS = st.one_of(
+    st.sampled_from("01234"),
+    st.sampled_from(["", " ", " 3 ", "03", "+3", "-0", "-1", "5", "3.0", "x", "٣", "1_0", "4 ", "00"]),
+    st.text(alphabet=" \t+-0123456789._x٣", max_size=4),
+)
+
+
+@given(
+    st.lists(st.lists(CELLS, min_size=20, max_size=20), min_size=1, max_size=4),
+    st.sampled_from(MissingPolicy),
+    st.booleans(),
+)
+def test_parse_matches_the_per_cell_rules(questionnaire, cell_rows, policy, reverse):
+    question_ids = questionnaire.question_ids()
+    rows = [[f"P{i}", *cells] for i, cells in enumerate(cell_rows)]
+    header = ["participant_id", *question_ids]
+    if reverse:  # column order differs from questionnaire order
+        header = ["participant_id", *reversed(question_ids)]
+        rows_in_file = [[row[0], *reversed(row[1:])] for row in rows]
+    else:
+        rows_in_file = rows
+    data = csv_for(questionnaire, rows_in_file, header=header)
+    expected = reference_parse(rows, question_ids, questionnaire.scale.max_code, policy)
+    try:
+        rs = parse_responses(data, questionnaire, policy=policy)
+    except ResponseError as exc:
+        assert expected == ("error", str(exc))
+    else:
+        assert expected == ("ok", [(p.participant_id, p.answers) for p in rs.participants], list(rs.warnings))
+        assert all(list(p.answers) == question_ids for p in rs.participants)
+
+
+def test_questionnaire_without_questions_reads_empty_answers(questionnaire):
+    empty = replace(questionnaire, questions=())
+    rs = parse_responses(b"participant_id,gender\nP1,F\nP2,M\n", empty, demographics=["gender"])
+    assert [(p.participant_id, p.demographics, p.answers) for p in rs.participants] == [("P1", {"gender": "F"}, {}), ("P2", {"gender": "M"}, {})]

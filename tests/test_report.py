@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from sure_eval.errors import ReportError, SchemaError
+from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
+from sure_eval.ingest import parse_responses
+from sure_eval.questionnaire import generate_template
 from sure_eval.report import build_report, parse_report, participation_rate, render_report
-from sure_eval.scoring import aggregate_scores, score_all
+from sure_eval.scoring import ParticipantScore, aggregate_scores, score_all
 
 
 @pytest.fixture()
@@ -274,3 +278,62 @@ def test_parse_report_requires_aggregates_bit_for_bit(report_doc):
     report_doc["general"] = math.nextafter(report_doc["general"], 0.0)
     with pytest.raises(SchemaError, match=r"^\$\.general: .* does not match the participants"):
         parse_report(json.dumps(report_doc).encode())
+
+
+# --- one key goal with one sub goal: every per-id column is a single one -----
+
+
+def _tiny_structure(n_subs):
+    subs = tuple(SubGoal(id=f"S{j}", label=f"s{j}", parent="K1") for j in range(1, n_subs + 1))
+    return GoalStructure(title="t", version="1", key_goals=(KeyGoal(id="K1", label="k", sub_goals=subs),))
+
+
+def test_one_key_goal_one_sub_goal_through_groups_and_csv():
+    structure = confirm_structure(_tiny_structure(1), ["approver"], "2021-01")
+    questionnaire = generate_template(structure)
+    data = b"participant_id,cohort,Q_S1\nP1,a,4\nP2,b,1\nP3,a,2\n"
+    responses = parse_responses(data, questionnaire, demographics=["cohort"])
+    assert [p.answers for p in responses.participants] == [{"Q_S1": 4}, {"Q_S1": 1}, {"Q_S1": 2}]
+    scores, aggregates = score_all(responses, questionnaire, structure)
+    assert (aggregates.general, aggregates.key_goal, aggregates.sub_goal) == (1.75 / 3, {"K1": 1.75 / 3}, {"S1": 1.75 / 3})
+    group_a = aggregate_scores([scores[0], scores[2]], structure)
+    assert (group_a.general, group_a.key_goal, group_a.sub_goal, group_a.n_overall_max) == (0.75, {"K1": 0.75}, {"S1": 0.75}, 1)
+
+    report = build_report(scores, aggregates, structure, responses, group_by=["cohort"], generated_at="")
+    assert report.groups == {"cohort": {"a": group_a, "b": aggregate_scores([scores[1]], structure)}}
+    text = render_report(report, "csv").decode()
+    assert text.split("# groups\n")[1] == (
+        "demographic,group,n,scope,id,score\n"
+        "cohort,a,2,general,,0.75\n"
+        "cohort,a,2,key_goal,K1,0.75\n"
+        "cohort,a,2,sub_goal,S1,0.75\n"
+        "cohort,b,1,general,,0.25\n"
+        "cohort,b,1,key_goal,K1,0.25\n"
+        "cohort,b,1,sub_goal,S1,0.25\n"
+        "# participants\n"
+        "participant_id,overall,K1,S1\n"
+        "P1,1.0,1.0,1.0\n"
+        "P2,0.25,0.25,0.25\n"
+        "P3,0.5,0.5,0.5\n"
+    )
+
+
+def test_csv_keeps_the_sign_of_a_zero_sub_goal_score(structure, questionnaire, responses):
+    tiny = _tiny_structure(3)
+    scores = [
+        ParticipantScore("P1", {"S1": 0.0, "S2": -0.0, "S3": 0.5}, {"K1": 0.5}, 0.5),
+        ParticipantScore("P2", {"S1": -0.0, "S2": 0.0, "S3": 0.5}, {"K1": 0.5}, -0.0),
+    ]
+    report = replace(
+        build_report(*score_all(responses, questionnaire, structure), structure, responses, generated_at=""),
+        key_goals=tiny.key_goals,
+        participants=tuple(scores),
+        aggregates=aggregate_scores(scores, tiny),
+        warnings=(),
+    )
+    text = render_report(report, "csv").decode()
+    assert text.split("# participants\n")[1] == (
+        "participant_id,overall,K1,S1,S2,S3\n"
+        "P1,0.5,0.5,0.0,-0.0,0.5\n"
+        "P2,-0.0,0.5,-0.0,0.0,0.5\n"
+    )

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_st
 from sure_eval.ingest import MissingPolicy, ParticipantRecord, ResponseSet
 from sure_eval.questionnaire import Question, Questionnaire, default_scale, generate_template
 from sure_eval.scoring import (
+    ParticipantScore,
     aggregate_scores,
     key_goal_score,
     participant_score,
@@ -225,3 +229,24 @@ def test_aggregate_structural_inequalities(structure, questionnaire, responses):
 def test_aggregate_scores_empty_rejected(structure):
     with pytest.raises(NoDataError):
         aggregate_scores([], structure)
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+    st.integers(1, 12),
+)
+def test_aggregate_means_are_left_to_right_column_sums(shape, pool, n):
+    """Every mean is reduce(add, column, 0.0) / n over the scores in list order, bit for bit."""
+    gs = make_structure(shape)
+    key_ids, sub_ids = [kg.id for kg in gs.key_goals], gs.sub_goal_ids()
+    value = iter(pool * (len(sub_ids) + len(key_ids) + 1) * n)
+    scores = [
+        ParticipantScore(f"P{i}", {s: next(value) for s in sub_ids}, {k: next(value) for k in key_ids}, next(value))
+        for i in range(n)
+    ]
+    agg = aggregate_scores(scores, gs)
+    assert agg.general == reduce(add, (s.overall for s in scores), 0.0) / n
+    assert agg.key_goal == {k: reduce(add, (s.key_goal_scores[k] for s in scores), 0.0) / n for k in key_ids}
+    assert agg.sub_goal == {s_id: reduce(add, (s.sub_goal_scores[s_id] for s in scores), 0.0) / n for s_id in sub_ids}
+    assert list(agg.key_goal) == key_ids and list(agg.sub_goal) == sub_ids
