@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from contextlib import suppress
 from pathlib import Path
 
@@ -74,8 +73,11 @@ def _read(path: str, what: str) -> bytes:
 
 def _write_atomic(path: str, data: bytes, what: str) -> None:
     target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}"
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        # Mode 0o666 less the umask, as open() gives a new file; mkstemp's
+        # 0o600 would survive the rename.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)

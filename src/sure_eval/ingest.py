@@ -191,7 +191,7 @@ def _check_header(header: list[str], question_ids: list[str], demographics: Sequ
         )
     duplicates = sorted({name for name in header if header.count(name) > 1})
     if duplicates:
-        raise ResponseError(f"duplicate header column(s): {', '.join(duplicates)}", row=1)
+        raise ResponseError(f"duplicate header column(s): {_column_names(duplicates)}", row=1)
     expected = {"participant_id", *demographics, *question_ids}
     found = set(header)
     missing = sorted(expected - found)
@@ -199,7 +199,12 @@ def _check_header(header: list[str], question_ids: list[str], demographics: Sequ
     if missing or unexpected:
         parts = []
         if missing:
-            parts.append(f"missing column(s): {', '.join(missing)}")
+            parts.append(f"missing column(s): {_column_names(missing)}")
         if unexpected:
-            parts.append(f"undeclared column(s): {', '.join(unexpected)}")
+            parts.append(f"undeclared column(s): {_column_names(unexpected)}")
         raise ResponseError(f"header mismatch: {'; '.join(parts)}", row=1)
+
+
+def _column_names(names: list[str]) -> str:
+    """Names for a diagnostic, an empty one shown as ''."""
+    return ", ".join(name or "''" for name in names)

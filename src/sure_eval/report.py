@@ -358,19 +358,17 @@ def parse_report(document: bytes | str) -> ScoreReport:
     return report
 
 
-def _all_fit(maps: list[dict[str, float]], ids: tuple[str, ...]) -> bool:
-    """Whether every map holds exactly ids, in order, with scores in [0, 1]; no Python-level loop per map."""
-    values = list(chain.from_iterable(map(dict.values, maps)))
-    return all(map(ids.__eq__, map(tuple, maps))) and 0.0 <= min(values) and max(values) <= 1.0
-
-
-def _check_scores(rows: Iterable[tuple], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
-    """Name the first misfit in (path, field, score, key scores, sub scores) rows: ids other than the tree's, or a score outside [0, 1]."""
-    for path, field, score, key_scores, sub_scores in rows:
-        for name, scores, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
-            if tuple(scores) != ids:
+def _check_scores(paths: Iterable[str], field: str, scores: list[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
+    """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; one C-level pass over all rows finds whether there is one."""
+    values = list(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))
+    ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
+    if ids_fit and 0.0 <= min(values) and max(values) <= 1.0:
+        return
+    for path, score, key_scores, sub_scores in zip(paths, scores, key_maps, sub_maps):
+        for name, by_id, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
+            if tuple(by_id) != ids:
                 raise SchemaError(f"{path}.{name}: ids must be the report's, in order: {', '.join(ids)}")
-            for key, value in scores.items():
+            for key, value in by_id.items():
                 if not 0.0 <= value <= 1.0:
                     raise SchemaError(f"{path}.{name}.{key}: score {value!r} is outside [0, 1]")
         if not 0.0 <= score <= 1.0:
@@ -387,10 +385,8 @@ def _check_consistent(report: ScoreReport) -> None:
     key_ids, sub_ids = tuple(key.id for key in report.key_goals), tuple(structure.sub_goal_ids())
     participants = report.participants
     overalls = [p.overall for p in participants]
-    fit = _all_fit([p.key_goal_scores for p in participants], key_ids) and _all_fit([p.sub_goal_scores for p in participants], sub_ids)
-    if not (fit and 0.0 <= min(overalls) and max(overalls) <= 1.0):
-        rows = ((f"$.participants[{i}]", "overall", p.overall, p.key_goal_scores, p.sub_goal_scores) for i, p in enumerate(participants))
-        _check_scores(rows, key_ids, sub_ids)
+    key_maps, sub_maps = [p.key_goal_scores for p in participants], [p.sub_goal_scores for p in participants]
+    _check_scores(map("$.participants[{}]".format, range(len(overalls))), "overall", overalls, key_maps, sub_maps, key_ids, sub_ids)
 
     got, want = report.aggregates, aggregate_scores(participants, structure)
     for path, found, expected in (
@@ -416,8 +412,9 @@ def _check_consistent(report: ScoreReport) -> None:
         raise SchemaError(f"$.participation.rate_percent: must be {rate!r} for {part.respondents} of {part.enrolled}")
 
     for key, by_value in (report.groups or {}).items():
-        rows = ((f"$.groups.{key}.{value}", "general", agg.general, agg.key_goal, agg.sub_goal) for value, agg in by_value.items())
-        _check_scores(rows, key_ids, sub_ids)
+        aggs = by_value.values()
+        columns = [agg.general for agg in aggs], [agg.key_goal for agg in aggs], [agg.sub_goal for agg in aggs]
+        _check_scores((f"$.groups.{key}.{value}" for value in by_value), "general", *columns, key_ids, sub_ids)
         for value, agg in by_value.items():
             if agg.n_participants < 1:
                 raise SchemaError(f"$.groups.{key}.{value}.n: a group has at least one participant")

@@ -1,12 +1,14 @@
 """Score computation on goal structures.
 
-Sub goals combine into their key goal like a parallel system: one fully
-reached sub goal is enough, so the key-goal score is one minus the product
-of the sub-goal shortfalls. Key goals combine like a series system: all
-must be reached, so the participant score is the plain product of key-goal
-scores. Both rules keep every score inside [0, 1], are monotone in every
-answer, and are exact at the extremes (all-top answers give exactly 1.0, a
-fully failed key goal gives exactly 0.0).
+One kernel computes the three rules for each participant. A sub goal scores
+the mean of its answers, each mapped linearly onto [0, 1]. Sub goals combine
+into their key goal like a parallel system: one fully reached sub goal is
+enough, so the key-goal score is one minus the product of the sub-goal
+shortfalls. Key goals combine like a series system: all must be reached, so
+the participant score is the plain product of key-goal scores. Both rules
+keep every score inside [0, 1], are monotone in every answer, and are exact
+at the extremes (all-top answers give exactly 1.0, a fully failed key goal
+gives exactly 0.0).
 
 Aggregates over participants are arithmetic means, summed in participant
 order so repeated runs are bit-identical.
@@ -20,7 +22,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .errors import InvalidQuestionnaireError, NoDataError
-from .goal_structure import GoalStructure, SubGoal
+from .goal_structure import GoalStructure, KeyGoal, SubGoal
 from .ingest import ParticipantRecord, ResponseSet, _columns, normalize
 from .questionnaire import Questionnaire, validate_questionnaire
 
@@ -49,15 +51,10 @@ class AggregateScores:
 
 def sub_goal_score(record: ParticipantRecord, sub_goal: SubGoal, questionnaire: Questionnaire) -> float:
     """Mean normalized answer over the questions mapped to one sub goal."""
-    question_ids = [q.id for q in questionnaire.questions if q.sub_goal == sub_goal.id]
-    if not question_ids:
+    if all(question.sub_goal != sub_goal.id for question in questionnaire.questions):
         raise ValueError(f"sub goal {sub_goal.id!r} has no questions")
-    total = 0.0
-    for question_id in question_ids:
-        if question_id not in record.answers:
-            raise ValueError(f"participant {record.participant_id!r} has no answer for {question_id!r}")
-        total += normalize(record.answers[question_id], questionnaire.scale)
-    return total / len(question_ids)
+    plan = _compile(questionnaire, [KeyGoal(sub_goal.parent, "", (sub_goal,))])
+    return _kernel(record, *plan).sub_goal_scores[sub_goal.id]
 
 
 def key_goal_score(sub_scores: Sequence[float]) -> float:
@@ -93,43 +90,46 @@ def score_all(
     violations = validate_questionnaire(questionnaire, structure)
     if violations:
         raise InvalidQuestionnaireError(violations)
-    if not responses.participants:
-        raise NoDataError("no_data: zero retained participants")
+    plan = _compile(questionnaire, structure.key_goals)
+    scores = [_kernel(record, *plan) for record in responses.participants]
+    return scores, aggregate_scores(scores, structure)  # raises NoDataError for zero participants
 
-    # Precompute the per-code normalization and the question ids feeding
-    # each sub goal (questionnaire order), shared by all participants.
-    unit = [normalize(code, questionnaire.scale) for code in range(questionnaire.scale.size)]
-    questions_of: dict[str, list[str]] = {sub.id: [] for sub in structure.sub_goals()}
+
+def _compile(questionnaire: Questionnaire, key_goals: Sequence[KeyGoal]) -> tuple[list[str], list[str], list[list[list[str]]], dict[int, float]]:
+    """The kernel's plan: key-goal ids, sub-goal ids, each key goal's sub goals' question ids (questionnaire order), {code: unit score}."""
+    questions_of: dict[str, list[str]] = {sub.id: [] for key_goal in key_goals for sub in key_goal.sub_goals}
     for question in questionnaire.questions:
-        questions_of[question.sub_goal].append(question.id)
-    plan = [(kg.id, [(sub.id, questions_of[sub.id]) for sub in kg.sub_goals]) for kg in structure.key_goals]
+        questions_of.get(question.sub_goal, []).append(question.id)
+    questions = [[questions_of[sub.id] for sub in key_goal.sub_goals] for key_goal in key_goals]
+    unit = {code: normalize(code, questionnaire.scale) for code in range(questionnaire.scale.size)}
+    return [key_goal.id for key_goal in key_goals], list(questions_of), questions, unit
 
-    scores: list[ParticipantScore] = []
-    for record in responses.participants:
-        answers = record.answers
-        sub_scores: dict[str, float] = {}
-        key_scores: dict[str, float] = {}
-        key_values: list[float] = []
-        for key_id, subs in plan:
-            values = []
-            for sub_id, question_ids in subs:
+
+def _kernel(record: ParticipantRecord, key_ids: list[str], sub_ids: list[str], questions: list[list[list[str]]], unit: dict[int, float]) -> ParticipantScore:
+    """One participant's scores: the sub-goal means, each summed left to right from 0.0, then the two rules.
+
+    A missing answer or one outside unit's codes fails a lookup, named by the loop's question_id.
+    """
+    answers = record.answers
+    sub_values: list[float] = []
+    key_values: list[float] = []
+    try:
+        for sub_goals in questions:
+            start = len(sub_values)
+            for question_ids in sub_goals:
                 total = 0.0
                 for question_id in question_ids:
                     total += unit[answers[question_id]]
-                sub_scores[sub_id] = value = total / len(question_ids)
-                values.append(value)
-            key_scores[key_id] = value = key_goal_score(values)
-            key_values.append(value)
-        scores.append(
-            ParticipantScore(
-                participant_id=record.participant_id,
-                sub_goal_scores=sub_scores,
-                key_goal_scores=key_scores,
-                overall=participant_score(key_values),
-            )
-        )
-
-    return scores, aggregate_scores(scores, structure)
+                sub_values.append(total / len(question_ids))
+            key_values.append(key_goal_score(sub_values[start:]))
+    except KeyError:
+        raise ValueError(f"participant {record.participant_id!r}: answer for {question_id!r} must be a level code 0..{len(unit) - 1}, found {answers.get(question_id)!r}") from None
+    return ParticipantScore(
+        participant_id=record.participant_id,
+        sub_goal_scores=dict(zip(sub_ids, sub_values)),
+        key_goal_scores=dict(zip(key_ids, key_values)),
+        overall=participant_score(key_values),
+    )
 
 
 def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructure) -> AggregateScores:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,27 @@ def test_failed_replace_leaves_no_temp_file(sample_files, capsys):
     assert err.splitlines()[-1] == f"error: cannot write report {str(target)!r}: Is a directory"
     assert list(structure.parent.glob(".report.md.*")) == []
 
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"])
+@pytest.mark.parametrize("command", ["template", "score", "simulate"])
+def test_output_file_mode_follows_the_umask(sample_files, capsys, command, umask, mode):
+    # regression: the temp file's 0600 mode survived the rename
+    structure, questionnaire, responses = sample_files
+    target = structure.parent / "out"
+    argv = {
+        "template": ["template", structure, target],
+        "score": ["score", structure, questionnaire, responses, "--demographics", "gender", "--out", target],
+        "simulate": ["simulate", structure, questionnaire, target, "--participants", "3"],
+    }[command]
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, *argv)
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert list(structure.parent.glob(".out.*")) == []
 
 # --- the installed entry point -----------------------------------------------------
 

@@ -141,6 +141,23 @@ def test_undeclared_column_is_error(questionnaire):
     assert rs.participants[0].demographics == {"age": "23"}
 
 
+
+def test_empty_header_name_is_named_as_undeclared(questionnaire):
+    # a trailing comma, as spreadsheet exports write it
+    header = ["participant_id", *questionnaire.question_ids(), ""]
+    row = ["P1", *([1] * 20), ""]
+    with pytest.raises(ResponseError) as err:
+        parse_responses(csv_for(questionnaire, [row], header=header), questionnaire)
+    assert str(err.value) == "header mismatch: undeclared column(s): '' (row 1)"
+
+
+def test_empty_header_name_is_named_as_duplicate(questionnaire):
+    header = ["participant_id", *questionnaire.question_ids(), "", ""]
+    row = ["P1", *([1] * 20), "", ""]
+    with pytest.raises(ResponseError) as err:
+        parse_responses(csv_for(questionnaire, [row], header=header), questionnaire)
+    assert str(err.value) == "duplicate header column(s): '' (row 1)"
+
 def test_empty_file_is_error(questionnaire):
     with pytest.raises(ResponseError, match="empty response file"):
         parse_responses(b"", questionnaire)

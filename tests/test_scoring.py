@@ -160,6 +160,40 @@ def test_score_all_matches_single_operations(structure, questionnaire, responses
     )
 
 
+def test_score_all_two_questions_per_sub_goal():
+    # the same frozen oracle value as test_sub_goal_score_mean_of_two_questions, through score_all
+    gs = make_structure([1])
+    q = Questionnaire(
+        questions=(
+            Question(id="qa", text="a", sub_goal="K1S1"),
+            Question(id="qb", text="b", sub_goal="K1S1"),
+        ),
+        scale=default_scale(),
+        structure_version="1",
+    )
+    scores, agg = score_all(response_set(gs, q, [{"qa": 4, "qb": 2}]), q, gs)
+    assert scores[0] == ParticipantScore("P1", {"K1S1": 0.75}, {"K1": 0.75}, 0.75)
+    assert scores[0].sub_goal_scores["K1S1"] == sub_goal_score(ParticipantRecord("P1", {}, {"qa": 4, "qb": 2}), gs.key_goals[0].sub_goals[0], q)
+    assert agg.general == 0.75
+
+
+@pytest.mark.parametrize("answer", [-1, "L", None], ids=["minus-one", "scale-size", "missing"])
+def test_score_all_and_sub_goal_score_reject_the_same_bad_answer(structure, questionnaire, answer):
+    # regression: score_all read -1 as the top level (unit[-1]), so A11 and B1 scored 1.0
+    answers = {qid: 0 for qid in questionnaire.question_ids()}
+    if answer is None:
+        del answers["Q_A11"]
+    else:
+        answers["Q_A11"] = answer = questionnaire.scale.size if answer == "L" else answer
+    rs = response_set(structure, questionnaire, [answers])
+    message = f"participant 'P1': answer for 'Q_A11' must be a level code 0..{questionnaire.scale.max_code}, found {answer!r}"
+    with pytest.raises(ValueError) as from_all:
+        score_all(rs, questionnaire, structure)
+    with pytest.raises(ValueError) as from_one:
+        sub_goal_score(rs.participants[0], structure.key_goals[0].sub_goals[0], questionnaire)
+    assert str(from_all.value) == str(from_one.value) == message
+
+
 # --- invariants and properties -------------------------------------------------
 
 
