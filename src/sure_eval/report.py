@@ -362,7 +362,7 @@ def _check_scores(paths: Iterable[str], field: str, scores: list[float], key_map
     """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; one C-level pass over all rows finds whether there is one."""
     values = list(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))
     ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
-    if ids_fit and 0.0 <= min(values) and max(values) <= 1.0:
+    if ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
         return
     for path, score, key_scores, sub_scores in zip(paths, scores, key_maps, sub_maps):
         for name, by_id, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):

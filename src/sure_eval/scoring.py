@@ -53,8 +53,8 @@ def sub_goal_score(record: ParticipantRecord, sub_goal: SubGoal, questionnaire: 
     """Mean normalized answer over the questions mapped to one sub goal."""
     if all(question.sub_goal != sub_goal.id for question in questionnaire.questions):
         raise ValueError(f"sub goal {sub_goal.id!r} has no questions")
-    plan = _compile(questionnaire, [KeyGoal(sub_goal.parent, "", (sub_goal,))])
-    return _kernel(record, *plan).sub_goal_scores[sub_goal.id]
+    plan, unit = _compile(questionnaire, [KeyGoal(sub_goal.parent, "", (sub_goal,))])
+    return _kernel(record, plan, unit).sub_goal_scores[sub_goal.id]
 
 
 def key_goal_score(sub_scores: Sequence[float]) -> float:
@@ -90,44 +90,46 @@ def score_all(
     violations = validate_questionnaire(questionnaire, structure)
     if violations:
         raise InvalidQuestionnaireError(violations)
-    plan = _compile(questionnaire, structure.key_goals)
-    scores = [_kernel(record, *plan) for record in responses.participants]
+    plan, unit = _compile(questionnaire, structure.key_goals)
+    scores = [_kernel(record, plan, unit) for record in responses.participants]
     return scores, aggregate_scores(scores, structure)  # raises NoDataError for zero participants
 
 
-def _compile(questionnaire: Questionnaire, key_goals: Sequence[KeyGoal]) -> tuple[list[str], list[str], list[list[list[str]]], dict[int, float]]:
-    """The kernel's plan: key-goal ids, sub-goal ids, each key goal's sub goals' question ids (questionnaire order), {code: unit score}."""
+def _compile(questionnaire: Questionnaire, key_goals: Sequence[KeyGoal]) -> tuple[list[tuple[str, list[tuple[str, list[str]]]]], dict[int, float]]:
+    """The kernel's plan, each key goal's id with its sub goals' ids and question ids (questionnaire order), and its {code: unit score} table."""
     questions_of: dict[str, list[str]] = {sub.id: [] for key_goal in key_goals for sub in key_goal.sub_goals}
     for question in questionnaire.questions:
         questions_of.get(question.sub_goal, []).append(question.id)
-    questions = [[questions_of[sub.id] for sub in key_goal.sub_goals] for key_goal in key_goals]
-    unit = {code: normalize(code, questionnaire.scale) for code in range(questionnaire.scale.size)}
-    return [key_goal.id for key_goal in key_goals], list(questions_of), questions, unit
+    plan = [(key_goal.id, [(sub.id, questions_of[sub.id]) for sub in key_goal.sub_goals]) for key_goal in key_goals]
+    return plan, {code: normalize(code, questionnaire.scale) for code in range(questionnaire.scale.size)}
 
 
-def _kernel(record: ParticipantRecord, key_ids: list[str], sub_ids: list[str], questions: list[list[list[str]]], unit: dict[int, float]) -> ParticipantScore:
-    """One participant's scores: the sub-goal means, each summed left to right from 0.0, then the two rules.
+def _kernel(record: ParticipantRecord, plan: list[tuple[str, list[tuple[str, list[str]]]]], unit: dict[int, float]) -> ParticipantScore:
+    """One participant's scores: each sub-goal mean summed left to right from 0.0, then the two rules, in plan order.
 
     A missing answer or one outside unit's codes fails a lookup, named by the loop's question_id.
     """
     answers = record.answers
-    sub_values: list[float] = []
+    sub_scores: dict[str, float] = {}
+    key_scores: dict[str, float] = {}
     key_values: list[float] = []
     try:
-        for sub_goals in questions:
-            start = len(sub_values)
-            for question_ids in sub_goals:
+        for key_id, subs in plan:
+            values = []
+            for sub_id, question_ids in subs:
                 total = 0.0
                 for question_id in question_ids:
                     total += unit[answers[question_id]]
-                sub_values.append(total / len(question_ids))
-            key_values.append(key_goal_score(sub_values[start:]))
+                sub_scores[sub_id] = value = total / len(question_ids)
+                values.append(value)
+            key_scores[key_id] = value = key_goal_score(values)
+            key_values.append(value)
     except KeyError:
         raise ValueError(f"participant {record.participant_id!r}: answer for {question_id!r} must be a level code 0..{len(unit) - 1}, found {answers.get(question_id)!r}") from None
     return ParticipantScore(
         participant_id=record.participant_id,
-        sub_goal_scores=dict(zip(sub_ids, sub_values)),
-        key_goal_scores=dict(zip(key_ids, key_values)),
+        sub_goal_scores=sub_scores,
+        key_goal_scores=key_scores,
         overall=participant_score(key_values),
     )
 

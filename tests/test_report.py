@@ -265,6 +265,7 @@ def test_parse_report_rejects_wrong_shape_with_path(report_doc, path, value, mes
         pytest.param(["participation", "rate_percent"], 45.01, r"^\$\.participation\.rate_percent: must be 45\.0", id="participation-rate"),
         pytest.param(["participation", "enrolled"], 8, r"^\$\.participation: enrolled \(8\) is smaller than respondents \(9\)$", id="participation-counts"),
         pytest.param(["groups", "gender", "F", "n"], 7, r"^\$\.groups\.gender: the groups' n sum to 10, not to \$\.distribution\.n$", id="group-sizes"),
+        pytest.param(["groups", "gender"], {}, r"^\$\.groups\.gender: the groups' n sum to 0, not to \$\.distribution\.n$", id="group-key-without-groups"),
         pytest.param(["groups", "gender", "M", "general"], -0.25, r"^\$\.groups\.gender\.M\.general: score -0\.25 is outside \[0, 1\]$", id="group-score-below-zero"),
         pytest.param(["participants", 0, "overall"], 1.5, r"^\$\.participants\[0\]\.overall: score 1\.5 is outside \[0, 1\]$", id="overall-above-one"),
         pytest.param(["participants", 2, "key_goals"], {"B2": 0.5, "B1": 0.5, "B3": 0.5, "B4": 0.5}, r"^\$\.participants\[2\]\.key_goals: ids must be the report's, in order: B1, B2, B3, B4$", id="key-ids-swapped"),
