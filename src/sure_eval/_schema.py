@@ -8,19 +8,29 @@ map; ``Nullable(shape)`` for ``null`` or ``shape``; a tuple of strings
 for one of those strings.
 
 ``check(value, shape)`` names the JSON path of the first part of a
-document that does not fit its shape. ``dumps(value, shape)`` checks a value
-against the same shape and then writes it, in the shape's field order with
-two-space indentation, so the reader accepts the layout of every document
-the writer writes.
+document that does not fit its shape. The elements of an array and the
+values of a map are checked column by column: one C-level pass over each
+leaf column decides whether all of them fit, and only when one does not does
+an element-by-element walk run, to name the first misfit.
+
+``dumps(value, shape)`` checks a value against the same shape and then
+writes it, in the shape's field order with two-space indentation, so the
+reader accepts the layout of every document the writer writes. A record
+whose fields are leaves, or records of such fields, compiles into one ``%``
+template with a slot per leaf; an array or map of such records fills it once
+per element, from one column of texts per leaf. Floats are formatted through
+one repr cache per call, because scores repeat.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from math import isfinite
-from typing import Any, Callable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import SchemaError
 
@@ -90,11 +100,13 @@ def _check(value: Any, shape: Any) -> None:
     elif kind is list:
         if type(value) is not list:
             raise _wrong(value, list)
-        _check_each(enumerate(value), value, shape[0], "[{}]")
+        if not _all_fit(value, shape[0]):
+            _walk(enumerate(value), shape[0], "[{}]")
     elif type(value) is not dict:
         raise _wrong(value, dict)
     elif str in shape:
-        _check_each(value.items(), value.values(), shape[str], ".{}")
+        if not _all_fit(value.values(), shape[str]):
+            _walk(value.items(), shape[str], ".{}")
     elif value.keys() != shape.keys():
         unknown = sorted(value.keys() - shape.keys())
         if unknown:
@@ -111,10 +123,8 @@ def _check(value: Any, shape: Any) -> None:
             raise
 
 
-def _check_each(pairs, values, shape: Any, step: str) -> None:
-    """Check the elements of an array or the values of a map; pairs gives (index or key, value)."""
-    if type(shape) is type and {*map(type, values)} <= {shape} and (shape is not float or all(map(isfinite, values))):
-        return  # every leaf matches: the common case, without a Python-level call per value
+def _walk(pairs: Iterable[tuple[Any, Any]], shape: Any, step: str) -> None:
+    """Check the elements of an array or the values of a map one by one; pairs gives (index or key, value)."""
     try:
         for key, item in pairs:
             _check(item, shape)
@@ -123,90 +133,151 @@ def _check_each(pairs, values, shape: Any, step: str) -> None:
         raise
 
 
+def _all_fit(values: Any, shape: Any) -> bool:
+    """Whether every one of a sequence of values fits shape, by C-level passes over its leaf columns.
+
+    False only sends the caller to _walk, which names the first misfit, so a
+    shape this does not take apart (a Nullable) may answer False for values
+    that fit.
+    """
+    kind = type(shape)
+    if kind is type:
+        return {*map(type, values)} <= {shape} and (shape is not float or all(map(isfinite, values)))
+    if kind is tuple:
+        return all(map(shape.__contains__, values))
+    if kind is Nullable or not {*map(type, values)} <= {kind}:
+        return False
+    if kind is list:
+        return _all_fit(list(chain.from_iterable(values)), shape[0])
+    if str in shape:
+        return _all_fit(list(chain.from_iterable(map(dict.values, values))), shape[str])
+    names = tuple(shape)
+    if not (all(map(names.__eq__, map(tuple, values))) or all(map(shape.keys().__eq__, map(dict.keys, values)))):  # the fields in order, else in any order
+        return False
+    fields = [*shape.values()]
+    if len(fields) > 1 and fields.count(fields[0]) == len(fields):  # one shape for every field, as in a record of scores: one column
+        return _all_fit(list(chain.from_iterable(map(dict.values, values))), fields[0])
+    return all(_all_fit(list(map(itemgetter(name), values)), field) for name, field in shape.items())
+
+
 def dumps(value: Any, shape: Any) -> bytes:
     """Write value as UTF-8 JSON laid out by shape: two-space indentation, fields in the shape's order, a final newline.
 
     value is first checked against shape, so a value the reader would reject
     (a boolean where an integer belongs, a NaN, a missing field) raises
     SchemaError, naming its JSON path, instead of being written. For a value
-    that passes, with its records' fields in the shape's order, the bytes are
-    those of ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``.
+    that passes, with its maps' keys in the order they should be written, the
+    bytes are those of ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``;
+    a record is written in its shape's field order, whatever its own order.
+
+    The text comes in pieces, a record field by field and an array or map
+    element by element, which are encoded one by one and joined once, so the
+    only copy of the whole text is the bytes returned. Joining a field on its
+    own and copying it into the document made two to four copies of a
+    25k-row report's 15 MB participants array, and how many were alive at
+    once depended on how the allocator reused freed blocks, so the peak memory
+    of a write moved by 15 MB from one input to the next.
     """
     check(value, shape)
-    # Compiling the shape takes tens of microseconds, so each call compiles its own and no cache outlives it.
-    return b"".join(map(str.encode, _pieces(value, shape)))
+    # Compiling the shape takes tens of microseconds, so each call compiles its own, with its own repr cache, and nothing outlives it.
+    return b"".join(map(str.encode, chain(_writer(shape, "\n", Reprs())(value), ("\n",))))
 
 
-def _pieces(value: Any, shape: Any) -> Iterator[str]:
-    """The text of a checked value, final newline included, in pieces that dumps encodes one by one and joins once.
+class Reprs(dict):
+    """repr(value) for each float looked up, computed once per distinct value.
 
-    A record comes field by field, and an array or map field element by
-    element, so the only copy of the whole text is the bytes dumps returns.
-    Joining a field on its own and copying it into the document made two to
-    four copies of a 25k-row report's 15 MB participants array, and how many
-    were alive at once depended on how the allocator reused freed blocks, so
-    the peak memory of a write moved by 15 MB from one input to the next.
+    Zeros are not kept: 0.0 and -0.0 are equal keys but have different reprs.
     """
-    if type(shape) is not dict or str in shape:
-        yield _writer(shape, "\n")(value)
-    else:
-        for prefix, name, field in _fields(shape, "\n"):
-            yield prefix
-            field_value = value[name]
-            if (type(field) is list or type(field) is dict and str in field) and field_value:
-                items, open_, separator, close, _ = _elements(field, "\n  ")
-                elements = items(field_value)
-                yield open_
-                yield next(elements)
-                for element in elements:
-                    yield separator
-                    yield element
-                yield close
-            else:
-                yield _writer(field, "\n  ")(field_value)
-        yield "\n}"
-    yield "\n"
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
 
 
-_LEAF_WRITERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
+def _writer(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterable[str]]:
+    """Compile shape into a function giving the text of one checked value in pieces; pad is the newline and indentation of the value's own line."""
+    texts = _texts(shape, pad, reprs)
+    if texts is not None:
+        return lambda value: texts((value,))
+    if type(shape) is Nullable:
+        write = _writer(shape.shape, pad, reprs)
+        return lambda value: ("null",) if value is None else write(value)
+    inner = pad + "  "
+    if type(shape) is list or str in shape:
+        is_map = type(shape) is dict
+        item = shape[str] if is_map else shape[0]
+        item_texts = _texts(item, inner, reprs) or partial(_joined_each, _writer(item, inner, reprs))
+        empty = "{}" if is_map else "[]"
+        open_, separator, close = empty[0] + inner, "," + inner, pad + empty[1]
 
+        def container(value: Any) -> Iterable[str]:
+            if not value:
+                return (empty,)
+            elements = map("{}: {}".format, map(encode_basestring, value), item_texts(value.values())) if is_map else item_texts(value)
+            return chain((open_, next(elements)), chain.from_iterable(zip(repeat(separator), elements)), (close,))
 
-def _writer(shape: Any, pad: str) -> Callable[[Any], str]:
-    """Compile shape into a function that writes one checked value of it; pad is the newline and indentation of the value's own line."""
-    kind = type(shape)
-    if kind is type:
-        return _LEAF_WRITERS[shape]
-    if kind is tuple:
-        return encode_basestring
-    if kind is Nullable:
-        write = _writer(shape.shape, pad)
-        return lambda value: "null" if value is None else write(value)
-    if kind is list or str in shape:
-        return partial(_container, *_elements(shape, pad))
-    fields = [(prefix, name, _writer(field, pad + "  ")) for prefix, name, field in _fields(shape, pad)]
+        return container
+    fields = [(("," if i else "{") + inner + encode_basestring(name) + ": ", name, _writer(field, inner, reprs)) for i, (name, field) in enumerate(shape.items())]
     close = pad + "}"
-    return lambda value: "".join([prefix + write(value[name]) for prefix, name, write in fields]) + close
+
+    def record(value: dict) -> Iterator[str]:
+        for prefix, name, write in fields:
+            yield prefix
+            yield from write(value[name])
+        yield close
+
+    return record
 
 
-def _fields(shape: dict, pad: str) -> list[tuple[str, str, Any]]:
-    """Each field of a record shape: the text before its value, its name and its shape."""
+def _joined_each(write: Callable[[Any], Iterable[str]], values: Iterable) -> Iterator[str]:
+    """The text of each of values, joined from the pieces write gives: the elements of a container that no template writes."""
+    return map("".join, map(write, values))
+
+
+_LEAF_TEXTS = {str: encode_basestring, int: int.__repr__}
+
+
+def _texts(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterator[str]] | None:
+    """For a leaf, or a record whose fields are leaves or such records, a function giving the text of each of a sequence of checked values; None for any other shape.
+
+    A record's texts fill one template, one slot per leaf, from one column of
+    leaf texts per slot: one template fill per value and no Python-level call.
+    """
+    compiled = _template(shape, pad, reprs)
+    if compiled is None:
+        return None
+    template, columns = compiled
+    if template == "%s":
+        return lambda values: columns(values)[0]
+
+    def texts(values: Any) -> Iterator[str]:
+        leaf_columns = columns(values)
+        return map(template.__mod__, zip(*leaf_columns) if leaf_columns else repeat((), len(values)))
+
+    return texts
+
+
+def _template(shape: Any, pad: str, reprs: Reprs) -> tuple[str, Callable[[Any], list[Iterator[str]]]] | None:
+    """The % template of a leaf or of a record of leaves and such records, and a function giving its leaves' columns of texts for a sequence of values."""
+    kind = type(shape)
+    if kind is type or kind is tuple:
+        write = reprs.__getitem__ if shape is float else _LEAF_TEXTS.get(shape, encode_basestring)
+        return "%s", lambda values: [map(write, values)]
+    if kind is not dict or str in shape:
+        return None
     inner = pad + "  "
-    return [(("," if i else "{") + inner + encode_basestring(name) + ": ", name, field) for i, (name, field) in enumerate(shape.items())]
+    parts, fields = [], []
+    for name, field in shape.items():
+        compiled = _template(field, inner, reprs)
+        if compiled is None:
+            return None
+        parts.append(inner + encode_basestring(name).replace("%", "%%") + ": " + compiled[0])
+        fields.append((itemgetter(name), compiled[1], compiled[0] != "%s"))
 
+    def columns(values: Any) -> list[Iterator[str]]:
+        # A record field's column is read once per leaf under it, so it is a list; a leaf's is read once.
+        return [column for get, leaf_columns, is_record in fields for column in leaf_columns(list(map(get, values)) if is_record else map(get, values))]
 
-def _elements(shape: Any, pad: str) -> tuple[Callable[[Any], Iterator[str]], str, str, str, str]:
-    """An array or map shape: a function giving the text of each element or entry, the text before the first and before each later one, the closing text, and the empty container."""
-    inner = pad + "  "
-    if type(shape) is list:
-        return partial(map, _writer(shape[0], inner)), "[" + inner, "," + inner, pad + "]", "[]"
-    write_value = _writer(shape[str], inner)
-
-    def entries(value: dict) -> Iterator[str]:
-        return map("{}: {}".format, map(encode_basestring, value), map(write_value, value.values()))
-
-    return entries, "{" + inner, "," + inner, pad + "}", "{}"
-
-
-def _container(items: Callable[[Any], Iterator[str]], open_: str, separator: str, close: str, empty: str, value: Any) -> str:
-    """An array or map: items gives the text of each element or entry, one C-level map over the leaf writers for leaves."""
-    return "".join((open_, separator.join(items(value)), close)) if value else empty
+    return ("{" + ",".join(parts) + pad + "}" if parts else "{}"), columns

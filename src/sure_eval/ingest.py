@@ -12,7 +12,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ResponseError
 from .questionnaire import Questionnaire, Scale
@@ -58,7 +58,9 @@ def parse_responses(
     """Parse a response CSV into a policy-resolved ResponseSet.
 
     The header must contain exactly: participant_id first, then the declared
-    demographic columns and one column per question id, in any order.
+    demographic columns and one column per question id, in any order, and
+    then only trailing columns without a name, as a header ending in a comma
+    gives, whose cells are all blank.
     Out-of-range or non-integer cells are errors with their row and column
     reported, and a record the csv module cannot read (a cell longer than
     csv.field_size_limit()) is an error naming its row; blanks become missing
@@ -83,8 +85,11 @@ def parse_responses(
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise ResponseError(f"cannot read CSV record: {exc}", row=reader.line_num) from None
     header = rows[0]
+    named = len(header)
+    while named > 1 and not header[named - 1]:
+        named -= 1  # a header ending in a comma, as spreadsheet exports write it: these columns must stay blank
     question_ids = questionnaire.question_ids()
-    _check_header(header, question_ids, demographics)
+    _check_header(header[:named], question_ids, demographics)
 
     column_of = {name: i for i, name in enumerate(header)}
     max_code = questionnaire.scale.max_code
@@ -97,7 +102,10 @@ def parse_responses(
     participants: list[ParticipantRecord] = []
     warnings: list[str] = []
     seen_ids: set[str] = set()
-    for line_no, row in enumerate(rows[1:], start=2):
+    numbered_rows = enumerate(rows[1:], start=2)
+    if named < len(header):
+        numbered_rows = _blank_beyond(numbered_rows, named, len(header))
+    for line_no, row in numbered_rows:
         if not row or all(not cell.strip() for cell in row):
             continue  # ignore fully blank lines
         if len(row) != len(header):
@@ -181,6 +189,15 @@ def _read_answers(
             )
         answers[question_id] = code
     return answers, missing
+
+
+def _blank_beyond(numbered_rows: Iterator[tuple[int, list[str]]], start: int, stop: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield each numbered row after checking that its cells start to stop, under the header's trailing unnamed columns, are blank."""
+    for line_no, row in numbered_rows:
+        for cell in row[start:stop]:
+            if cell.strip():
+                raise ResponseError(f"a column without a name must be blank, found {cell!r}", row=line_no, column="")
+        yield line_no, row
 
 
 def _check_header(header: list[str], question_ids: list[str], demographics: Sequence[str]) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import _schema
 from .errors import ReportError, SchemaError
@@ -121,6 +121,11 @@ def build_report(
     )
 
 
+def _tree_ids(key_goals: Sequence[KeyGoal]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The key-goal ids and the sub-goal ids of a tree, in tree order."""
+    return tuple(key.id for key in key_goals), tuple(sub.id for key in key_goals for sub in key.sub_goals)
+
+
 def _histogram(overalls: Iterable[float]) -> tuple[int, ...]:
     """Counts of overall scores in [0, 1] per tenth; 1.0 falls in the last bin."""
     histogram = [0] * HISTOGRAM_BINS
@@ -133,7 +138,9 @@ def render_report(report: ScoreReport, format: str) -> bytes:
     if format == "markdown":
         return _render_markdown(report).encode("utf-8")
     if format == "json":
-        return _schema.dumps(_report_to_obj(report), REPORT_SHAPE)
+        # Written with each score map a record of the tree's ids, so every map is laid out in tree order and one with other ids is a SchemaError.
+        scores = [dict.fromkeys(ids, float) for ids in _tree_ids(report.key_goals)]
+        return _schema.dumps(_report_to_obj(report), _report_shape(*scores))
     if format == "csv":
         return _render_csv(report).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
@@ -307,19 +314,24 @@ def _report_to_obj(report: ScoreReport) -> dict:
     }
 
 
-_AGGREGATES_SHAPE = {"n": int, "n_max": int, "n_zero": int, "general": float, "key_goals": {str: float}, "sub_goals": {str: float}}
-REPORT_SHAPE = {
-    "title": str,
-    "version": str,
-    "generated_at": str,
-    "general": float,
-    "key_goals": [{"id": str, "label": str, "score": float, "sub_goals": [{"id": str, "label": str, "score": float}]}],
-    "participants": [{"id": str, "overall": float, "key_goals": {str: float}, "sub_goals": {str: float}}],
-    "distribution": {"n": int, "n_max": int, "n_zero": int, "histogram": [int]},
-    "participation": _schema.Nullable({"respondents": int, "enrolled": int, "rate_percent": float}),
-    "groups": _schema.Nullable({str: {str: _AGGREGATES_SHAPE}}),
-    "warnings": [str],
-}
+def _report_shape(key_scores: Any, sub_scores: Any) -> dict:
+    """The report's layout, with key_scores and sub_scores the shape of each key-goal and sub-goal score map."""
+    aggregates = {"n": int, "n_max": int, "n_zero": int, "general": float, "key_goals": key_scores, "sub_goals": sub_scores}
+    return {
+        "title": str,
+        "version": str,
+        "generated_at": str,
+        "general": float,
+        "key_goals": [{"id": str, "label": str, "score": float, "sub_goals": [{"id": str, "label": str, "score": float}]}],
+        "participants": [{"id": str, "overall": float, "key_goals": key_scores, "sub_goals": sub_scores}],
+        "distribution": {"n": int, "n_max": int, "n_zero": int, "histogram": [int]},
+        "participation": _schema.Nullable({"respondents": int, "enrolled": int, "rate_percent": float}),
+        "groups": _schema.Nullable({str: {str: aggregates}}),
+        "warnings": [str],
+    }
+
+
+REPORT_SHAPE = _report_shape({str: float}, {str: float})
 
 
 def parse_report(document: bytes | str) -> ScoreReport:
@@ -382,7 +394,7 @@ def _check_consistent(report: ScoreReport) -> None:
         raise SchemaError(f"{violation.path}: {violation.message}")
     if not report.participants:
         raise SchemaError("$.participants: a report has at least one participant")
-    key_ids, sub_ids = tuple(key.id for key in report.key_goals), tuple(structure.sub_goal_ids())
+    key_ids, sub_ids = _tree_ids(report.key_goals)
     participants = report.participants
     overalls = [p.overall for p in participants]
     key_maps, sub_maps = [p.key_goal_scores for p in participants], [p.sub_goal_scores for p in participants]
@@ -427,26 +439,13 @@ def _check_consistent(report: ScoreReport) -> None:
 # --- csv --------------------------------------------------------------------
 
 
-class _Reprs(dict):
-    """repr(value) for each value looked up, computed once per distinct value.
-
-    Zeros are not kept: 0.0 and -0.0 are equal keys but have different reprs.
-    """
-
-    def __missing__(self, value: float) -> str:
-        text = repr(value)
-        if value:
-            self[value] = text
-        return text
-
-
-def _participant_rows(participants: Iterable[ParticipantScore], key_ids: list[str], sub_ids: list[str]) -> Iterator[tuple]:
+def _participant_rows(participants: Iterable[ParticipantScore], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> Iterator[tuple]:
     """Rows of the participants section, scores as floats, which csv.writer writes as their repr.
 
     Sub-goal scores take few distinct values, so each value is formatted
     once, by a cache that lives only while the rows are written.
     """
-    key_scores, sub_scores, text = _columns(key_ids), _columns(sub_ids), _Reprs()
+    key_scores, sub_scores, text = _columns(key_ids), _columns(sub_ids), _schema.Reprs()
     for score in participants:
         yield (score.participant_id, score.overall, *key_scores(score.key_goal_scores), *map(text.__getitem__, sub_scores(score.sub_goal_scores)))
 
@@ -502,8 +501,7 @@ def _render_csv(report: ScoreReport) -> str:
                         writer.writerow([key, value, group_agg.n_participants, "sub_goal", sub.id, repr(group_agg.sub_goal[sub.id])])
 
     out.write("# participants\n")
-    key_ids = [key_goal.id for key_goal in report.key_goals]
-    sub_ids = [sub.id for key_goal in report.key_goals for sub in key_goal.sub_goals]
+    key_ids, sub_ids = _tree_ids(report.key_goals)
     writer.writerow(["participant_id", "overall", *key_ids, *sub_ids])
     writer.writerows(_participant_rows(report.participants, key_ids, sub_ids))
 

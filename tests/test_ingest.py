@@ -143,20 +143,36 @@ def test_undeclared_column_is_error(questionnaire):
 
 
 def test_empty_header_name_is_named_as_undeclared(questionnaire):
-    # a trailing comma, as spreadsheet exports write it
-    header = ["participant_id", *questionnaire.question_ids(), ""]
-    row = ["P1", *([1] * 20), ""]
+    header = ["participant_id", "", *questionnaire.question_ids()]
+    row = ["P1", "", *([1] * 20)]
     with pytest.raises(ResponseError) as err:
         parse_responses(csv_for(questionnaire, [row], header=header), questionnaire)
     assert str(err.value) == "header mismatch: undeclared column(s): '' (row 1)"
 
 
 def test_empty_header_name_is_named_as_duplicate(questionnaire):
-    header = ["participant_id", *questionnaire.question_ids(), "", ""]
-    row = ["P1", *([1] * 20), "", ""]
+    header = ["participant_id", "", "", *questionnaire.question_ids()]
+    row = ["P1", "", "", *([1] * 20)]
     with pytest.raises(ResponseError) as err:
         parse_responses(csv_for(questionnaire, [row], header=header), questionnaire)
     assert str(err.value) == "duplicate header column(s): '' (row 1)"
+
+
+@pytest.mark.parametrize("unnamed", [1, 2])
+def test_trailing_unnamed_blank_columns_are_ignored(questionnaire, unnamed):
+    # a header ending in a comma, as spreadsheet exports write it
+    rows = [full_row("P1", questionnaire, 1), full_row("P2", questionnaire, 3)]
+    padded = csv_for(questionnaire, [[*row, *([" "] * unnamed)] for row in rows], header=["participant_id", *questionnaire.question_ids(), *([""] * unnamed)])
+    assert parse_responses(padded, questionnaire) == parse_responses(csv_for(questionnaire, rows), questionnaire)
+
+
+def test_cell_under_a_trailing_unnamed_column_must_be_blank(questionnaire):
+    header = ["participant_id", *questionnaire.question_ids(), "", ""]
+    rows = [[*full_row("P1", questionnaire, 1), "", ""], [*full_row("P2", questionnaire, 1), "", "x"]]
+    with pytest.raises(ResponseError) as err:
+        parse_responses(csv_for(questionnaire, rows, header=header), questionnaire)
+    assert str(err.value) == "a column without a name must be blank, found 'x' (row 3, column '')"
+
 
 def test_empty_file_is_error(questionnaire):
     with pytest.raises(ResponseError, match="empty response file"):

@@ -5,12 +5,13 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sure_eval.errors import ReportError, SchemaError
 from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
 from sure_eval.ingest import parse_responses
 from sure_eval.questionnaire import generate_template
-from sure_eval.report import build_report, parse_report, participation_rate, render_report
+from sure_eval.report import Participation, ScoreReport, _histogram, _report_to_obj, build_report, parse_report, participation_rate, render_report
 from sure_eval.scoring import ParticipantScore, aggregate_scores, score_all
 
 
@@ -176,6 +177,99 @@ def test_json_round_trip(scored, structure, responses):
 def test_json_round_trip_without_optionals(scored, structure, responses):
     report = full_report(scored, structure, responses)
     assert parse_report(render_report(report, "json")) == report
+
+
+def _with_first_participant(report, **changes):
+    return replace(report, participants=(replace(report.participants[0], **changes), *report.participants[1:]))
+
+
+def test_json_writes_a_score_map_in_tree_order(scored, structure, responses):
+    # regression: a map in another order was written in its own, and parse_report rejected the report
+    report = full_report(scored, structure, responses, participation=(9, 20), group_by=["gender"])
+    reordered = _with_first_participant(report, key_goal_scores=dict(reversed(report.participants[0].key_goal_scores.items())))
+    data = render_report(reordered, "json")
+    assert data == render_report(report, "json")
+    assert parse_report(data) == reordered
+
+
+@pytest.mark.parametrize(
+    "field, change, message",
+    [
+        ("key_goal_scores", lambda scores: {key: value for key, value in scores.items() if key != "B4"}, r"^\$\.participants\[0\]\.key_goals: missing field\(s\): B4$"),
+        ("sub_goal_scores", lambda scores: {**scores, "A99": 0.5}, r"^\$\.participants\[0\]\.sub_goals: unknown field\(s\): A99$"),
+    ],
+)
+def test_json_render_rejects_a_score_map_without_the_tree_ids(scored, structure, responses, field, change, message):
+    report = full_report(scored, structure, responses)
+    report = _with_first_participant(report, **{field: change(getattr(report.participants[0], field))})
+    with pytest.raises(SchemaError, match=message):
+        render_report(report, "json")
+
+
+def test_json_render_rejects_a_group_score_map_without_the_tree_ids(scored, structure, responses):
+    report = full_report(scored, structure, responses, group_by=["gender"])
+    female = report.groups["gender"]["F"]
+    sub_goal = {key: value for key, value in female.sub_goal.items() if key != "A11"}
+    report = replace(report, groups={"gender": {**report.groups["gender"], "F": replace(female, sub_goal=sub_goal)}})
+    with pytest.raises(SchemaError, match=r"^\$\.groups\.gender\.F\.sub_goals: missing field\(s\): A11$"):
+        render_report(report, "json")
+
+
+# Ids and labels that a % template or a JSON string must escape, and characters written as they are.
+HOSTILE = st.lists(st.sampled_from(["%", "%s", "%%", '"', "\\", "\u2028", "\xe9", "\U0001f600", "a"]), min_size=1, max_size=4).map("".join)
+SCORES = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0, 5e-324])
+
+
+@st.composite
+def reports(draw):
+    """A self-consistent report on a random tree with hostile ids, each score map in tree order."""
+    ids = draw(st.lists(HOSTILE, min_size=2, max_size=7, unique=True))
+    n_keys = draw(st.integers(1, len(ids) // 2))
+    key_ids, sub_ids = ids[:n_keys], ids[n_keys:]
+    key_goals = tuple(
+        KeyGoal(key_id, draw(HOSTILE), tuple(SubGoal(sub_id, draw(HOSTILE), key_id) for sub_id in sub_ids[i::n_keys]))
+        for i, key_id in enumerate(key_ids)
+    )
+    tree_sub_ids = [sub.id for key in key_goals for sub in key.sub_goals]
+    structure = GoalStructure(title=draw(HOSTILE), version=draw(HOSTILE), key_goals=key_goals)
+    scores = [
+        ParticipantScore(
+            participant_id,
+            {sub_id: draw(SCORES) for sub_id in tree_sub_ids},
+            {key_id: draw(SCORES) for key_id in key_ids},
+            draw(SCORES),
+        )
+        for participant_id in draw(st.lists(HOSTILE, min_size=1, max_size=4, unique=True))
+    ]
+    groups = None
+    if draw(st.booleans()):
+        members = {}
+        for score in scores:
+            members.setdefault(draw(HOSTILE), []).append(score)
+        groups = {draw(HOSTILE): {value: aggregate_scores(group, structure) for value, group in members.items()}}
+    participation = None
+    if draw(st.booleans()):
+        enrolled = len(scores) + draw(st.integers(0, 3))
+        participation = Participation(len(scores), enrolled, participation_rate(len(scores), enrolled))
+    return ScoreReport(
+        title=structure.title,
+        version=structure.version,
+        generated_at=draw(HOSTILE),
+        aggregates=aggregate_scores(scores, structure),
+        key_goals=key_goals,
+        participants=tuple(scores),
+        histogram=_histogram(score.overall for score in scores),
+        participation=participation,
+        groups=groups,
+        warnings=tuple(draw(st.lists(HOSTILE, max_size=2))),
+    )
+
+
+@given(reports())
+def test_json_render_is_json_dumps_and_round_trips(report):
+    data = render_report(report, "json")
+    assert data == (json.dumps(_report_to_obj(report), indent=2, ensure_ascii=False) + "\n").encode()
+    assert parse_report(data) == report
 
 
 def test_minimal_report_general_is_one(structure, questionnaire, responses):
