@@ -51,7 +51,7 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2(name, data):
     check(json.loads(written), shape)
 
 
-@pytest.mark.parametrize("shape", [[{"a": str, "b": [int]}], {str: {str: float}}, Nullable({"a": [str]}), float])
+@pytest.mark.parametrize("shape", [[{"a": str, "b": [int]}], {str: {str: float}}, Nullable({"a": [str]}), float, [{"a": {}}]])
 @given(data=st.data())
 def test_dumps_writes_a_document_that_is_not_a_record(shape, data):
     value = data.draw(values(shape))
