@@ -247,7 +247,8 @@ def _texts(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterator[str]]
     """For a leaf, or a record whose fields are leaves or such records, a function giving the text of each of a sequence of checked values; None for any other shape.
 
     A record's texts fill one template, one slot per leaf, from one column of
-    leaf texts per slot: one template fill per value and no Python-level call.
+    leaf texts per slot: one template fill per value, and no Python-level call
+    but for the repr cache's misses.
     """
     compiled = _template(shape, pad, reprs)
     if compiled is None:
