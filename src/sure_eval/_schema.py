@@ -8,10 +8,10 @@ map; ``Nullable(shape)`` for ``null`` or ``shape``; a tuple of strings
 for one of those strings.
 
 ``check(value, shape)`` names the JSON path of the first part of a
-document that does not fit its shape. The elements of an array and the
-values of a map are checked column by column: one C-level pass over each
-leaf column decides whether all of them fit, and only when one does not does
-an element-by-element walk run, to name the first misfit.
+document that does not fit its shape. One fit test decides what a shape
+admits: it takes a list of values apart into leaf columns, one C-level pass
+each. Only a document that does not fit is walked, with the same test on each
+element and field in turn, to name the first misfit and word its problem.
 
 ``dumps(value, shape)`` checks a value against the same shape and then
 writes it, in the shape's field order with two-space indentation, so the
@@ -52,103 +52,46 @@ def load_json(document: bytes | str, what: str = "document") -> Any:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{what} is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(document, parse_constant=_NonFinite)
+        return json.loads(document, parse_constant=_NonFinite, object_pairs_hook=partial(_object, what))
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{what} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
 
 
+def _object(what: str, pairs: list[tuple[str, Any]]) -> dict:
+    """A loaded object; a name given twice is a SchemaError, where json.loads would keep the last value."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        seen: set[str] = set()
+        name = next(name for name, _ in pairs if name in seen or seen.add(name))
+        raise SchemaError(f"{what} repeats the name {name!r} in one object")
+    return value
+
+
 def check(value: Any, shape: Any) -> None:
     """Raise SchemaError, naming the JSON path ("$.a[2].b"), at the first part of value that does not match shape."""
-    try:
-        _check(value, shape)
-    except _Mismatch as exc:
-        raise SchemaError("$" + "".join(reversed(exc.path)) + f": {exc}") from None
-
-
-class _Mismatch(Exception):
-    """A problem on its way up to check(); each level appends its path step, so no path is built unless one fails."""
-
-    def __init__(self, problem: str):
-        super().__init__(problem)
-        self.path: list[str] = []
+    if not _all_fit([value], shape):
+        raise SchemaError(_misfit(value, shape, "$"))
 
 
 _EXPECTED = {str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"}
 _JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean", list: "array", dict: "object", type(None): "null"}
 
 
-def _wrong(value: Any, expected: type) -> _Mismatch:
-    got = value if type(value) is _NonFinite else _JSON_TYPES.get(type(value), type(value).__name__)  # a written value may be no JSON type
-    return _Mismatch(f"expected {_EXPECTED[expected]}, got {got}")
-
-
-def _check(value: Any, shape: Any) -> None:
-    kind = type(shape)
-    if kind is type:
-        if type(value) is not shape:
-            raise _wrong(value, shape)
-        if shape is float and not isfinite(value):
-            raise _Mismatch(f"expected a number, got {json.dumps(value)}")  # NaN, Infinity or -Infinity, as a loaded one is named
-    elif kind is Nullable:
-        if value is not None:
-            _check(value, shape.shape)
-    elif kind is tuple:
-        if value not in shape:
-            raise _Mismatch(f"must be one of {shape}, got {value!r}")
-    elif kind is list:
-        if type(value) is not list:
-            raise _wrong(value, list)
-        if not _all_fit(value, shape[0]):
-            _walk(enumerate(value), shape[0], "[{}]")
-    elif type(value) is not dict:
-        raise _wrong(value, dict)
-    elif str in shape:
-        if not _all_fit(value.values(), shape[str]):
-            _walk(value.items(), shape[str], ".{}")
-    elif value.keys() != shape.keys():
-        unknown = sorted(value.keys() - shape.keys())
-        if unknown:
-            raise _Mismatch(f"unknown field(s): {', '.join(unknown)}")
-        raise _Mismatch(f"missing field(s): {', '.join(key for key in shape if key not in value)}")
-    else:
-        try:
-            for key, field_shape in shape.items():
-                field = value[key]
-                if type(field) is not field_shape or field_shape is float and not isfinite(field):  # a matching leaf needs no call
-                    _check(field, field_shape)
-        except _Mismatch as exc:
-            exc.path.append(f".{key}")
-            raise
-
-
-def _walk(pairs: Iterable[tuple[Any, Any]], shape: Any, step: str) -> None:
-    """Check the elements of an array or the values of a map one by one; pairs gives (index or key, value)."""
-    try:
-        for key, item in pairs:
-            _check(item, shape)
-    except _Mismatch as exc:
-        exc.path.append(step.format(key))
-        raise
-
-
-def _all_fit(values: Any, shape: Any) -> bool:
-    """Whether every one of a sequence of values fits shape, by C-level passes over its leaf columns.
-
-    False only sends the caller to _walk, which names the first misfit, so a
-    shape this does not take apart (a Nullable) may answer False for values
-    that fit.
-    """
+def _all_fit(values: list, shape: Any) -> bool:
+    """Whether every one of a list of values fits shape, by C-level passes over its leaf columns: the one rule of what a shape admits."""
     kind = type(shape)
     if kind is type:
         return {*map(type, values)} <= {shape} and (shape is not float or all(map(isfinite, values)))
     if kind is tuple:
         return all(map(shape.__contains__, values))
-    if kind is Nullable or not {*map(type, values)} <= {kind}:
+    if kind is Nullable:
+        return _all_fit([value for value in values if value is not None], shape.shape)
+    if not {*map(type, values)} <= {kind}:
         return False
     if kind is list:
-        return _all_fit(list(chain.from_iterable(values)), shape[0])
+        return _all_fit(values[0] if len(values) == 1 else list(chain.from_iterable(values)), shape[0])
     if str in shape:
         return _all_fit(list(chain.from_iterable(map(dict.values, values))), shape[str])
     names = tuple(shape)
@@ -158,6 +101,32 @@ def _all_fit(values: Any, shape: Any) -> bool:
     if len(fields) > 1 and fields.count(fields[0]) == len(fields):  # one shape for every field, as in a record of scores: one column
         return _all_fit(list(chain.from_iterable(map(dict.values, values))), fields[0])
     return all(_all_fit(list(map(itemgetter(name), values)), field) for name, field in shape.items())
+
+
+def _misfit(value: Any, shape: Any, path: str) -> str:
+    """The JSON path and problem of the first misfit in value, which does not fit shape, found with _all_fit alone."""
+    kind = type(shape)
+    if kind is Nullable:  # value is not None, or it would fit
+        return _misfit(value, shape.shape, path)
+    if kind is tuple:
+        return f"{path}: must be one of {shape}, got {value!r}"
+    if type(value) is shape:  # a float that is NaN or infinite, named as a loaded one is
+        return f"{path}: expected a number, got {json.dumps(value)}"
+    expected = shape if kind is type else kind
+    if type(value) is not expected:
+        got = value if type(value) is _NonFinite else _JSON_TYPES.get(type(value), type(value).__name__)  # a written value may be no JSON type
+        return f"{path}: expected {_EXPECTED[expected]}, got {got}"
+    if kind is list:
+        parts = zip(map("[{}]".format, range(len(value))), value, repeat(shape[0]))
+    elif str in shape:
+        parts = zip(map(".{}".format, value), value.values(), repeat(shape[str]))
+    elif value.keys() == shape.keys():
+        parts = ((f".{name}", value[name], field) for name, field in shape.items())
+    elif value.keys() - shape.keys():
+        return f"{path}: unknown field(s): {', '.join(sorted(value.keys() - shape.keys()))}"
+    else:
+        return f"{path}: missing field(s): {', '.join(name for name in shape if name not in value)}"
+    return next(_misfit(part, part_shape, path + step) for step, part, part_shape in parts if not _all_fit([part], part_shape))
 
 
 def dumps(value: Any, shape: Any) -> bytes:

@@ -7,8 +7,8 @@ Exit codes come from one table in ``main``:
   questionnaire violations under ``check``, a draft structure
   (``NotConfirmedError``) or no participant left to score (``NoDataError``).
 * 2: input or parse error: any other ``SureError``, including questionnaire
-  violations under ``score``/``simulate`` and a file that cannot be read or
-  written.
+  violations under ``score``/``simulate``, a file that cannot be read or
+  written, and a report that stdout does not take (a closed pipe).
 * 3: internal error: any other exception.
 
 Violations print one per line on stderr; every other failure prints one
@@ -150,8 +150,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         _write_atomic(args.out, data, "report")
     else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        try:
+            rest = memoryview(data)
+            while rest:  # a pipe closed during a write can end it short with no error; writing the rest raises one
+                rest = rest[sys.stdout.buffer.write(rest):]
+            sys.stdout.buffer.flush()
+        except OSError as exc:
+            raise SchemaError(f"cannot write report to stdout: {exc.strerror or exc}") from exc
     return EXIT_OK
 
 

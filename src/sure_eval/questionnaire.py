@@ -8,6 +8,7 @@ the scoring engine).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,24 +154,33 @@ def render_questionnaire(
         columns = ["participant_id", *demographics, *questionnaire.question_ids()]
         return ",".join(columns)
 
-    labels = [level.label for level in questionnaire.scale.levels]
+    labels = [_markdown(level.label) for level in questionnaire.scale.levels]
     by_sub: dict[str, list[Question]] = {}
     for question in questionnaire.questions:
         by_sub.setdefault(question.sub_goal, []).append(question)
 
-    lines = [f"# Questionnaire: {structure.title}", ""]
+    lines = [f"# Questionnaire: {_markdown(structure.title, table=False)}", ""]
     number = 0
     for key_goal in structure.key_goals:
-        lines.append(f"## {key_goal.label} ({key_goal.id})")
+        lines.append(f"## {_markdown(key_goal.label, table=False)} ({_markdown(key_goal.id, table=False)})")
         lines.append("")
         lines.append("| # | Question | " + " | ".join(labels) + " |")
         lines.append("|---|----------|" + "---|" * len(labels))
         for sub in key_goal.sub_goals:
             for question in by_sub.get(sub.id, []):
                 number += 1
-                lines.append(f"| {number} | {question.text} |" + "  |" * len(labels))
+                lines.append(f"| {number} | {_markdown(question.text)} |" + "  |" * len(labels))
         lines.append("")
     return "\n".join(lines)
+
+
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def _markdown(text: str, table: bool = True) -> str:
+    """text on one markdown line: each line break (CR LF, CR or LF) becomes a space, and in a table cell each | is escaped as \\|."""
+    text = _LINE_BREAK.sub(" ", text)
+    return text.replace("|", "\\|") if table else text
 
 
 QUESTIONNAIRE_SHAPE = {

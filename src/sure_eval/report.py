@@ -20,6 +20,7 @@ from . import _schema
 from .errors import ReportError, SchemaError
 from .goal_structure import GoalStructure, KeyGoal, key_goals_from_obj, validate_structure
 from .ingest import ResponseSet, _columns
+from .questionnaire import _markdown
 from .scoring import AggregateScores, ParticipantScore, aggregate_scores
 
 RENDER_FORMATS = ("markdown", "json", "csv")
@@ -155,7 +156,7 @@ def _round2(value: float) -> str:
 
 def _render_markdown(report: ScoreReport) -> str:
     agg = report.aggregates
-    lines = [f"# Evaluation report: {report.title} (version {report.version})", ""]
+    lines = [f"# Evaluation report: {_markdown(report.title, table=False)} (version {_markdown(report.version, table=False)})", ""]
     if report.generated_at:
         lines += [f"Generated: {report.generated_at}", ""]
 
@@ -171,7 +172,7 @@ def _render_markdown(report: ScoreReport) -> str:
 
     lines += ["## Key goals", "", "| Id | Key goal | Score |", "|----|----------|-------|"]
     for key_goal in report.key_goals:
-        lines.append(f"| {key_goal.id} | {key_goal.label} | {_round2(agg.key_goal[key_goal.id])} |")
+        lines.append(f"| {_markdown(key_goal.id)} | {_markdown(key_goal.label)} | {_round2(agg.key_goal[key_goal.id])} |")
     lines.append("")
 
     lowest = min(agg.sub_goal.values())
@@ -180,7 +181,7 @@ def _render_markdown(report: ScoreReport) -> str:
     lines += ["## Sub goals", ""]
     for key_goal in report.key_goals:
         lines += [
-            f"### {key_goal.id}: {key_goal.label} ({_round2(agg.key_goal[key_goal.id])})",
+            f"### {_markdown(key_goal.id, table=False)}: {_markdown(key_goal.label, table=False)} ({_round2(agg.key_goal[key_goal.id])})",
             "",
             "| Id | Sub goal | Score |",
             "|----|----------|-------|",
@@ -192,7 +193,7 @@ def _render_markdown(report: ScoreReport) -> str:
                 note = " (lowest)"
             elif mark and value == highest:
                 note = " (highest)"
-            lines.append(f"| {sub.id} | {sub.label} | {_round2(value)}{note} |")
+            lines.append(f"| {_markdown(sub.id)} | {_markdown(sub.label)} | {_round2(value)}{note} |")
         lines.append("")
 
     lines += [
@@ -227,14 +228,14 @@ def _render_markdown(report: ScoreReport) -> str:
         for key, by_value in report.groups.items():
             for value, group_agg in by_value.items():
                 lines += [
-                    f"### {key} = {value} ({group_agg.n_participants} respondents)",
+                    f"### {_markdown(key, table=False)} = {_markdown(value, table=False)} ({group_agg.n_participants} respondents)",
                     "",
                     "| Metric | Value |",
                     "|--------|-------|",
                     f"| General evaluation score | {_round2(group_agg.general)} |",
                 ]
                 for key_goal in report.key_goals:
-                    lines.append(f"| {key_goal.id}: {key_goal.label} | {_round2(group_agg.key_goal[key_goal.id])} |")
+                    lines.append(f"| {_markdown(key_goal.id)}: {_markdown(key_goal.label)} | {_round2(group_agg.key_goal[key_goal.id])} |")
                 lines.append("")
 
     if report.warnings:

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,8 @@ def broken_inputs(sample_files):
     doc["questions"] = [q for q in doc["questions"] if q["sub_goal"] not in ("A11", "A26")]
     (folder / "uncovered.json").write_text(json.dumps(doc))
     (folder / "garbled.json").write_bytes(b"{not json")
+    (folder / "repeated.json").write_text(structure.read_text().replace('"title": ', '"title": "X", "title": ', 1))
+    (folder / "repeated-q.json").write_text(questionnaire.read_text().replace('"code": 0', '"code": 1, "code": 0', 1))
     text = responses.read_text()
     (folder / "header.csv").write_text(text.splitlines()[0] + "\n")
     (folder / "zero.csv").write_bytes(b"")
@@ -337,6 +340,8 @@ FAILURES = [
      "error: cannot read goal structure '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
     ("validate-garbled", ["validate", "{tmp}/garbled.json"], 2, f"error: goal structure {NOT_JSON}\n"),
     ("validate-invalid-structure", ["validate", "{tmp}/invalid.json"], 1, f"{DUPLICATE_ID}\n"),
+    ("validate-repeated-name", ["validate", "{tmp}/repeated.json"], 2,
+     "error: goal structure repeats the name 'title' in one object\n"),
     ("template-missing-structure", ["template", "{tmp}/nope.json", "{tmp}/q.json"], 2,
      "error: cannot read goal structure '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
     ("template-invalid-structure", ["template", "{tmp}/invalid.json", "{tmp}/q.json"], 2,
@@ -349,6 +354,8 @@ FAILURES = [
      "error: cannot read questionnaire '{tmp}/nope.json': [Errno 2] No such file or directory: '{tmp}/nope.json'\n"),
     ("check-garbled-questionnaire", ["check", S, "{tmp}/garbled.json"], 2, f"error: questionnaire {NOT_JSON}\n"),
     ("check-uncovered", ["check", S, "{tmp}/uncovered.json"], 1, UNCOVERED),
+    ("check-repeated-name", ["check", S, "{tmp}/repeated-q.json"], 2,
+     "error: questionnaire repeats the name 'code' in one object\n"),
     ("score-invalid-structure", ["score", "{tmp}/invalid.json", Q, R], 2,
      f"error: goal structure has 1 violation(s): {DUPLICATE_ID}\n"),
     ("score-garbled-questionnaire", ["score", S, "{tmp}/garbled.json", R], 2, f"error: questionnaire {NOT_JSON}\n"),
@@ -462,13 +469,13 @@ def test_output_file_mode_follows_the_umask(sample_files, capsys, command, umask
 # --- the installed entry point -----------------------------------------------------
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """Run ``python -m sure_eval`` in a child process on this checkout's package."""
     env = dict(os.environ)
     src = str(Path(sure_eval.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "sure_eval", *(str(a) for a in argv)], env=env, capture_output=True, check=False,
+        [sys.executable, "-m", "sure_eval", *(str(a) for a in argv)], env=env, stdout=stdout, stderr=subprocess.PIPE, check=False,
     )
 
 
@@ -487,3 +494,36 @@ def test_module_entry_point_exit_code(broken_inputs):
     assert result.returncode == 1
     assert result.stdout == b""
     assert result.stderr == b"error: no_data: zero retained participants\n"
+
+
+def _read_a_little_and_close(fd):
+    os.read(fd, 10)
+    os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "participants, warnings, read_first",
+    [(None, EXCLUDED_S004, False), (2000, "", False), (2000, "", True)],
+    ids=["buffered", "larger-than-the-buffer", "closed-during-the-write"],
+)
+def test_score_into_a_closed_pipe_is_a_write_error(sample_files, participants, warnings, read_first):
+    structure, questionnaire, responses = sample_files
+    options = GOLDEN_ARGS
+    if participants is not None:  # a report larger than the stdout buffer and the pipe, so the write itself meets the closed pipe
+        responses.write_bytes(sure_eval.simulate_responses(sure_eval.parse_questionnaire(questionnaire.read_bytes()), participants, 7))
+        options = ("--reproducible",)
+    read_end, write_end = os.pipe()
+    reader = threading.Thread(target=_read_a_little_and_close, args=(read_end,))
+    if read_first:  # the reader closes the pipe while the write waits for room in it
+        reader.start()
+    else:
+        os.close(read_end)
+    try:
+        result = run_module("score", structure, questionnaire, responses, "--format", "json", *options, stdout=write_end)
+    finally:
+        os.close(write_end)
+    if read_first:
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+    assert result.returncode == 2
+    assert result.stderr.decode() == warnings + "error: cannot write report to stdout: Broken pipe\n"

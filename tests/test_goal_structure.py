@@ -69,6 +69,12 @@ def test_parse_rejects_unknown_field():
         parse_structure(json.dumps(doc).encode())
 
 
+def test_parse_rejects_a_repeated_name():
+    text = serialize_structure(parse_structure(json.dumps(minimal_doc()).encode())).decode()
+    with pytest.raises(SchemaError, match=r"^goal structure repeats the name 'title' in one object$"):
+        parse_structure(text.replace('"title": ', '"title": "X", "title": ', 1))
+
+
 def test_parse_reports_syntax_position():
     with pytest.raises(SchemaError, match=r"line \d+, column \d+"):
         parse_structure(b'{"title": "x",}')

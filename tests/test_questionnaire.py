@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -103,6 +104,19 @@ def test_render_markdown_layout(structure, questionnaire):
     assert "76-100% agree" in header
 
 
+def test_render_markdown_escapes_table_cells_and_headings(structure, questionnaire):
+    labels = [level.label for level in questionnaire.scale.levels]
+    scale = type(questionnaire.scale)(levels=(replace(questionnaire.scale.levels[0], label="no | never"), *questionnaire.scale.levels[1:]))
+    questions = (replace(questionnaire.questions[0], text="Rate the\r\ncontent | pace"), *questionnaire.questions[1:])
+    key_goals = (replace(structure.key_goals[0], label="Lecture\nquality"), *structure.key_goals[1:])
+    text = render_questionnaire(replace(questionnaire, scale=scale, questions=questions), replace(structure, key_goals=key_goals), "markdown")
+    lines = text.splitlines()
+    assert "## Lecture quality (B1)" in lines
+    assert "| # | Question | no \\| never | " + " | ".join(labels[1:]) + " |" in lines
+    assert "| 1 | Rate the content \\| pace |" + "  |" * len(labels) in lines
+    assert len(lines) == len(render_questionnaire(questionnaire, structure, "markdown").splitlines())
+
+
 def test_render_csv_header(structure, questionnaire):
     header = render_questionnaire(questionnaire, structure, "csv-header")
     columns = header.split(",")
@@ -140,6 +154,12 @@ def test_parse_rejects_unknown_field(questionnaire):
     doc["language"] = "en"
     with pytest.raises(SchemaError, match="unknown field"):
         parse_questionnaire(json.dumps(doc).encode())
+
+
+def test_parse_rejects_a_repeated_name(questionnaire):
+    text = serialize_questionnaire(questionnaire).decode().replace('"code": 0', '"code": 1, "code": 0', 1)
+    with pytest.raises(SchemaError, match=r"^questionnaire repeats the name 'code' in one object$"):
+        parse_questionnaire(text)
 
 
 def test_parse_rejects_non_finite_number(questionnaire):

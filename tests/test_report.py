@@ -162,6 +162,21 @@ def _heading_score(lines, key_id):
     return heading.rsplit("(", 1)[1].rstrip(")")
 
 
+def test_markdown_escapes_table_cells_and_headings(scored, structure, responses):
+    report = full_report(scored, structure, responses, group_by=["gender"])
+    first, *others = report.key_goals
+    sub_goals = (replace(first.sub_goals[0], label="Content\nof lecture"), *first.sub_goals[1:])
+    key_goals = (replace(first, label="Lecture | quality\r\n", sub_goals=sub_goals), *others)
+    text = render_report(replace(report, title="Online\rcourse", key_goals=key_goals), "markdown").decode()
+    lines = text.splitlines()
+    assert lines[0] == "# Evaluation report: Online course (version 1.0)"
+    assert "| B1 | Lecture \\| quality  | 0.87 |" in lines
+    assert "### B1: Lecture | quality  (0.87)" in lines
+    assert "| A11 | Content of lecture | 0.61 |" in lines
+    assert "| B1: Lecture \\| quality  | 0.97 |" in lines  # the table of group F
+    assert len(lines) == len(render_report(report, "markdown").decode().splitlines())
+
+
 def test_markdown_is_deterministic(scored, structure, responses):
     report = full_report(scored, structure, responses, participation=(9, 20), group_by=["gender"])
     assert render_report(report, "markdown") == render_report(report, "markdown")
@@ -370,6 +385,12 @@ def test_parse_report_rejects_inconsistent_figures_with_path(report_doc, path, v
     _set(report_doc, path, value)
     with pytest.raises(SchemaError, match=message):
         parse_report(json.dumps(report_doc).encode())
+
+
+def test_parse_report_rejects_a_repeated_name(report_doc):
+    text = json.dumps(report_doc, indent=2).replace('"A11": 1.0,', '"A11": 0.5, "A11": 1.0,', 1)
+    with pytest.raises(SchemaError, match=r"^report repeats the name 'A11' in one object$"):
+        parse_report(text)
 
 
 def test_parse_report_requires_aggregates_bit_for_bit(report_doc):

@@ -10,7 +10,7 @@ from sure_eval._schema import Nullable, check, dumps
 from sure_eval.errors import SchemaError
 from sure_eval.goal_structure import STRUCTURE_SHAPE
 from sure_eval.questionnaire import QUESTIONNAIRE_SHAPE
-from sure_eval.report import REPORT_SHAPE
+from sure_eval.report import REPORT_SHAPE, _report_shape
 
 SHAPES = {"structure": STRUCTURE_SHAPE, "questionnaire": QUESTIONNAIRE_SHAPE, "report": REPORT_SHAPE}
 GOLDEN_REPORT = Path(__file__).parent / "goldens" / "online_course.report.json"
@@ -116,3 +116,62 @@ def test_check_rejects_a_non_finite_number_read_as_an_overflow():
     # json.loads reads 1e999 as inf; only NaN and Infinity reach load_json's parse_constant.
     with pytest.raises(SchemaError, match=r"^\$\.general: expected a number, got Infinity$"):
         check(json.loads('{"general": 1e999}'), {"general": float})
+
+
+# The report as render_report checks it: each score map a record of the tree's ids.
+TREE_REPORT_SHAPE = _report_shape(dict.fromkeys(["B1", "B2"], float), dict.fromkeys(["A11", "A12", "A21"], float))
+_EXPECTED = {str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"}
+_JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean", list: "array", dict: "object", type(None): "null"}
+
+
+def parts(holder, key, shape, path):
+    """holder[key] and each part of it, as (holder, key, shape, JSON path), the whole first."""
+    yield holder, key, shape, path
+    value = holder[key]
+    if type(shape) is Nullable:
+        if value is None:
+            return
+        shape = shape.shape
+    if type(shape) is list:
+        for index in range(len(value)):
+            yield from parts(value, index, shape[0], f"{path}[{index}]")
+    elif type(shape) is dict:
+        for name in value:
+            yield from parts(value, name, shape[str] if str in shape else shape[name], f"{path}.{name}")
+
+
+def faults(data, shape, value):
+    """Replacements for value that shape does not admit, each with the problem check names."""
+    nullable = type(shape) is Nullable
+    if nullable:
+        shape = shape.shape
+    kind = type(shape)
+    wanted = shape if kind is type else kind
+    found = []
+    for other in ("x", 1, 0.5, True, [], {}, None):
+        if type(other) is wanted or other is None and nullable or kind is tuple and type(other) is str:
+            continue
+        got = f"must be one of {shape}, got {other!r}" if kind is tuple else f"expected {_EXPECTED[wanted]}, got {_JSON_TYPES[type(other)]}"
+        found.append((other, got))
+    if shape is float:
+        found += [(float("nan"), "expected a number, got NaN"), (float("-inf"), "expected a number, got -Infinity")]
+    if kind is tuple:
+        found.append(("other", f"must be one of {shape}, got 'other'"))
+    if kind is dict and str not in shape and value is not None:  # a record edit needs a record
+        for name in shape:
+            found.append(({key: field for key, field in value.items() if key != name}, f"missing field(s): {name}"))
+        extra = data.draw(TEXT.filter(lambda name: name not in shape), label="extra field")
+        found.append(({**value, extra: 1}, f"unknown field(s): {extra}"))
+    return found
+
+
+@pytest.mark.parametrize("shape", [STRUCTURE_SHAPE, QUESTIONNAIRE_SHAPE, REPORT_SHAPE, TREE_REPORT_SHAPE], ids=["structure", "questionnaire", "report", "tree-report"])
+@given(data=st.data())
+def test_check_names_a_single_fault_at_its_own_path(shape, data):
+    root = [data.draw(values(shape), label="document")]
+    holder, key, part_shape, path = data.draw(st.sampled_from(list(parts(root, 0, shape, "$"))), label="location")
+    faulty, problem = data.draw(st.sampled_from(faults(data, part_shape, holder[key])), label="fault")
+    holder[key] = faulty
+    with pytest.raises(SchemaError) as err:
+        check(root[0], shape)
+    assert str(err.value) == f"{path}: {problem}"
