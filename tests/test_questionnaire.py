@@ -106,7 +106,7 @@ def test_render_markdown_layout(structure, questionnaire):
 
 def test_render_markdown_escapes_table_cells_and_headings(structure, questionnaire):
     labels = [level.label for level in questionnaire.scale.levels]
-    scale = type(questionnaire.scale)(levels=(replace(questionnaire.scale.levels[0], label="no | never"), *questionnaire.scale.levels[1:]))
+    scale = replace(questionnaire.scale, levels=(replace(questionnaire.scale.levels[0], label="no | never"), *questionnaire.scale.levels[1:]))
     questions = (replace(questionnaire.questions[0], text="Rate the\r\ncontent | pace"), *questionnaire.questions[1:])
     key_goals = (replace(structure.key_goals[0], label="Lecture\nquality"), *structure.key_goals[1:])
     text = render_questionnaire(replace(questionnaire, scale=scale, questions=questions), replace(structure, key_goals=key_goals), "markdown")
