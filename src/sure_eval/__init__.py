@@ -59,6 +59,7 @@ from .report import (
 from .scoring import (
     AggregateScores,
     ParticipantScore,
+    ScoreTable,
     aggregate_scores,
     key_goal_score,
     participant_score,
@@ -91,6 +92,7 @@ __all__ = [
     "ScaleLevel",
     "SchemaError",
     "ScoreReport",
+    "ScoreTable",
     "STATUS_CONFIRMED",
     "STATUS_DRAFT",
     "SubGoal",

@@ -10,33 +10,59 @@ for one of those strings.
 ``check(value, shape)`` names the JSON path of the first part of a
 document that does not fit its shape. One fit test decides what a shape
 admits: it takes a list of values apart into leaf columns, one C-level pass
-each. Only a document that does not fit is walked, with the same test on each
-element and field in turn, to name the first misfit and word its problem.
+each. Only a document that does not fit is walked, with the same test on
+slices of its arrays and maps (bisection) and on its fields in turn, to name
+the first misfit and word its problem.
 
 ``dumps(value, shape)`` checks a value against the same shape and then
 writes it, in the shape's field order with two-space indentation, so the
 reader accepts the layout of every document the writer writes. A record
 whose fields are leaves, or records of such fields, compiles into one ``%``
 template with a slot per leaf; an array or map of such records fills it once
-per element, from one column of texts per leaf. Floats are formatted through
-one repr cache per call, because scores repeat.
+per element, from one column of texts per leaf. An array of such records may
+also be given as ``Columns``, its leaf columns themselves, which is checked
+and written column by column without a record per element. Floats are
+formatted through one repr cache per call, because scores repeat.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from functools import partial
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from math import isfinite
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SchemaError
 
 
 class Nullable(NamedTuple):
     shape: Any
+
+
+class Columns:
+    """An array of records whose fields are leaves or records of leaves, given as one column of leaf values per slot of their template (the leaves in shape order, records flattened), all of one length.
+
+    It stands for the array in a value given to check or dumps, where the
+    shape has ``[record]``. Indexing gives one element's leaf values,
+    slicing the elements of the slice as Columns.
+    """
+
+    __slots__ = ("leaves",)
+
+    def __init__(self, leaves: Sequence[Sequence]):
+        self.leaves = tuple(leaves)
+
+    def __len__(self) -> int:
+        return len(self.leaves[0]) if self.leaves else 0
+
+    def __getitem__(self, index: int | slice) -> Any:
+        if isinstance(index, slice):
+            return Columns([column[index] for column in self.leaves])
+        return [column[index] for column in self.leaves]
 
 
 class _NonFinite(str):
@@ -88,6 +114,9 @@ def _all_fit(values: list, shape: Any) -> bool:
         return all(map(shape.__contains__, values))
     if kind is Nullable:
         return _all_fit([value for value in values if value is not None], shape.shape)
+    if kind is list and {*map(type, values)} == {Columns}:  # each leaf's values, one column per leaf
+        leaf_columns = zip(*(value.leaves for value in values))
+        return all(_all_fit(columns[0] if len(values) == 1 else list(chain.from_iterable(columns)), leaf) for columns, leaf in zip(leaf_columns, _leaves(shape[0])))
     if not {*map(type, values)} <= {kind}:
         return False
     if kind is list:
@@ -104,7 +133,12 @@ def _all_fit(values: list, shape: Any) -> bool:
 
 
 def _misfit(value: Any, shape: Any, path: str) -> str:
-    """The JSON path and problem of the first misfit in value, which does not fit shape, found with _all_fit alone."""
+    """The JSON path and problem of the first misfit in value, which does not fit shape, found with _all_fit alone.
+
+    The elements of an array or the values of a map are narrowed down by
+    bisection, with _all_fit on slices, so naming the misfit among n elements
+    takes O(log n) column passes, not n record checks.
+    """
     kind = type(shape)
     if kind is Nullable:  # value is not None, or it would fit
         return _misfit(value, shape.shape, path)
@@ -113,20 +147,44 @@ def _misfit(value: Any, shape: Any, path: str) -> str:
     if type(value) is shape:  # a float that is NaN or infinite, named as a loaded one is
         return f"{path}: expected a number, got {json.dumps(value)}"
     expected = shape if kind is type else kind
-    if type(value) is not expected:
+    if type(value) is not expected and not (kind is list and type(value) is Columns):
         got = value if type(value) is _NonFinite else _JSON_TYPES.get(type(value), type(value).__name__)  # a written value may be no JSON type
         return f"{path}: expected {_EXPECTED[expected]}, got {got}"
     if kind is list:
-        parts = zip(map("[{}]".format, range(len(value))), value, repeat(shape[0]))
-    elif str in shape:
-        parts = zip(map(".{}".format, value), value.values(), repeat(shape[str]))
-    elif value.keys() == shape.keys():
-        parts = ((f".{name}", value[name], field) for name, field in shape.items())
-    elif value.keys() - shape.keys():
+        index = _first_misfit(len(value), lambda start, stop: _all_fit([value[start:stop]], shape))
+        element = value[index] if type(value) is list else _record(shape[0], iter(value[index]))
+        return _misfit(element, shape[0], f"{path}[{index}]")
+    if str in shape:
+        names, elements = list(value), list(value.values())
+        index = _first_misfit(len(elements), lambda start, stop: _all_fit(elements[start:stop], shape[str]))
+        return _misfit(elements[index], shape[str], f"{path}.{names[index]}")
+    if value.keys() - shape.keys():
         return f"{path}: unknown field(s): {', '.join(sorted(value.keys() - shape.keys()))}"
-    else:
+    if value.keys() != shape.keys():
         return f"{path}: missing field(s): {', '.join(name for name in shape if name not in value)}"
-    return next(_misfit(part, part_shape, path + step) for step, part, part_shape in parts if not _all_fit([part], part_shape))
+    return next(_misfit(value[name], field, f"{path}.{name}") for name, field in shape.items() if not _all_fit([value[name]], field))
+
+
+def _first_misfit(n: int, fits: Callable[[int, int], bool]) -> int:
+    """The index of the first misfit among n elements, at least one of which does not fit; fits(start, stop) tells whether elements start to stop all fit."""
+    start, stop = 0, n
+    while stop - start > 1:
+        middle = (start + stop) // 2
+        if fits(start, middle):
+            start = middle
+        else:
+            stop = middle
+    return start
+
+
+def _leaves(shape: Any) -> list:
+    """The leaf shapes of a record of leaves and such records, in template slot order; a leaf's own shape for a leaf."""
+    return [leaf for field in shape.values() for leaf in _leaves(field)] if type(shape) is dict else [shape]
+
+
+def _record(shape: Any, leaves: Iterator) -> Any:
+    """The record of shape that one element of Columns stands for, from an iterator over its leaf values in slot order."""
+    return {name: _record(field, leaves) for name, field in shape.items()} if type(shape) is dict else next(leaves)
 
 
 def dumps(value: Any, shape: Any) -> bytes:
@@ -157,16 +215,37 @@ def dumps(value: Any, shape: Any) -> bytes:
 
 
 class Reprs(dict):
-    """repr(value) for each float looked up, computed once per distinct value.
+    """repr(value) for each float looked up, computed once per distinct value, zeros included.
 
-    Zeros are not kept: 0.0 and -0.0 are equal keys but have different reprs.
+    0.0 and -0.0 are equal keys with different reprs, so texts() reads a
+    column through the cache only when one C-level pass over its bytes finds
+    no -0.0 in it; the cache then only ever holds a zero as "0.0".
     """
 
     def __missing__(self, value: float) -> str:
-        text = repr(value)
-        if value:
-            self[value] = text
+        self[value] = text = repr(value)
         return text
+
+    def texts(self, values: Sequence[float]) -> Iterator[str]:
+        """The repr of each of a column of values."""
+        if _has_negative_zero(values):
+            return map(repr, values)
+        return map(self.__getitem__, values)
+
+
+_NEGATIVE_ZERO = struct.pack("d", -0.0)
+
+
+def _has_negative_zero(values: Sequence[float]) -> bool:
+    """Whether values holds a -0.0, or something that is not a number (which then goes through repr as well)."""
+    try:
+        data = struct.pack(f"{len(values)}d", *values)
+    except struct.error:
+        return True
+    at = data.find(_NEGATIVE_ZERO)
+    while at > 0 and at % len(_NEGATIVE_ZERO):  # a match across two values
+        at = data.find(_NEGATIVE_ZERO, at + 1)
+    return at >= 0
 
 
 def _writer(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterable[str]]:
@@ -213,45 +292,46 @@ _LEAF_TEXTS = {str: encode_basestring, int: int.__repr__}
 
 
 def _texts(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterator[str]] | None:
-    """For a leaf, or a record whose fields are leaves or such records, a function giving the text of each of a sequence of checked values; None for any other shape.
+    """For a leaf, or a record whose fields are leaves or such records, a function giving the text of each of a sequence of checked values, or of Columns; None for any other shape.
 
     A record's texts fill one template, one slot per leaf, from one column of
     leaf texts per slot: one template fill per value, and no Python-level call
     but for the repr cache's misses.
     """
-    compiled = _template(shape, pad, reprs)
-    if compiled is None:
+    template = _template(shape, pad)
+    if template is None:
         return None
-    template, columns = compiled
-    if template == "%s":
-        return lambda values: columns(values)[0]
+    writers = [reprs.texts if leaf is float else partial(map, _LEAF_TEXTS.get(leaf, encode_basestring)) for leaf in _leaves(shape)]
 
     def texts(values: Any) -> Iterator[str]:
-        leaf_columns = columns(values)
-        return map(template.__mod__, zip(*leaf_columns) if leaf_columns else repeat((), len(values)))
+        columns = values.leaves if type(values) is Columns else _leaf_columns(shape, list(values))
+        text_columns = [write(column) for write, column in zip(writers, columns)]
+        if template == "%s":
+            return text_columns[0]
+        return map(template.__mod__, zip(*text_columns) if text_columns else repeat((), len(values)))
 
     return texts
 
 
-def _template(shape: Any, pad: str, reprs: Reprs) -> tuple[str, Callable[[Any], list[Iterator[str]]]] | None:
-    """The % template of a leaf or of a record of leaves and such records, and a function giving its leaves' columns of texts for a sequence of values."""
+def _template(shape: Any, pad: str) -> str | None:
+    """The % template of a leaf or of a record of leaves and such records, one %s slot per leaf; None for any other shape."""
     kind = type(shape)
     if kind is type or kind is tuple:
-        write = reprs.__getitem__ if shape is float else _LEAF_TEXTS.get(shape, encode_basestring)
-        return "%s", lambda values: [map(write, values)]
+        return "%s"
     if kind is not dict or str in shape:
         return None
     inner = pad + "  "
-    parts, fields = [], []
+    parts = []
     for name, field in shape.items():
-        compiled = _template(field, inner, reprs)
-        if compiled is None:
+        template = _template(field, inner)
+        if template is None:
             return None
-        parts.append(inner + encode_basestring(name).replace("%", "%%") + ": " + compiled[0])
-        fields.append((itemgetter(name), compiled[1], compiled[0] != "%s"))
+        parts.append(inner + encode_basestring(name).replace("%", "%%") + ": " + template)
+    return "{" + ",".join(parts) + pad + "}" if parts else "{}"
 
-    def columns(values: Any) -> list[Iterator[str]]:
-        # A record field's column is read once per leaf under it, so it is a list; a leaf's is read once.
-        return [column for get, leaf_columns, is_record in fields for column in leaf_columns(list(map(get, values)) if is_record else map(get, values))]
 
-    return ("{" + ",".join(parts) + pad + "}" if parts else "{}"), columns
+def _leaf_columns(shape: Any, values: list) -> list[list]:
+    """The columns of leaf values, in template slot order, of a list of values of a leaf or record shape."""
+    if type(shape) is not dict:
+        return [values]
+    return [column for name, field in shape.items() for column in _leaf_columns(field, list(map(itemgetter(name), values)))]

@@ -8,7 +8,8 @@ Exit codes come from one table in ``main``:
   (``NotConfirmedError``) or no participant left to score (``NoDataError``).
 * 2: input or parse error: any other ``SureError``, including questionnaire
   violations under ``score``/``simulate``, a file that cannot be read or
-  written, and a report that stdout does not take (a closed pipe).
+  written, and a report or summary line that stdout does not take (a
+  closed pipe).
 * 3: internal error: any other exception.
 
 Violations print one per line on stderr; every other failure prints one
@@ -90,6 +91,16 @@ def _write_atomic(path: str, data: bytes, what: str) -> None:
         raise SchemaError(f"cannot write {what} {path!r}: {exc.strerror or exc}") from exc
 
 
+def _write_stdout(data: bytes, what: str) -> None:
+    try:
+        rest = memoryview(data)
+        while rest:  # a pipe closed during a write can end it short with no error; writing the rest raises one
+            rest = rest[sys.stdout.buffer.write(rest):]
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        raise SchemaError(f"cannot write {what} to stdout: {exc.strerror or exc}") from exc
+
+
 def _report_violations(violations, code: int) -> int:
     for violation in violations:
         print(str(violation), file=sys.stderr)
@@ -114,7 +125,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_template(args: argparse.Namespace) -> int:
     questionnaire = generate_template(parse_structure(_read(args.structure, "goal structure")))
     _write_atomic(args.out, serialize_questionnaire(questionnaire), "questionnaire")
-    print(f"{len(questionnaire.questions)} questions")
+    _write_stdout(b"%d questions\n" % len(questionnaire.questions), "summary")
     return EXIT_OK
 
 
@@ -150,13 +161,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         _write_atomic(args.out, data, "report")
     else:
-        try:
-            rest = memoryview(data)
-            while rest:  # a pipe closed during a write can end it short with no error; writing the rest raises one
-                rest = rest[sys.stdout.buffer.write(rest):]
-            sys.stdout.buffer.flush()
-        except OSError as exc:
-            raise SchemaError(f"cannot write report to stdout: {exc.strerror or exc}") from exc
+        _write_stdout(data, "report")
     return EXIT_OK
 
 
@@ -168,7 +173,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if violations:
         return _report_violations(violations, EXIT_INPUT)
     _write_atomic(args.out, simulate_responses(questionnaire, args.participants, args.seed), "response CSV")
-    print(f"wrote {args.participants} participants to {args.out}")
+    _write_stdout(b"wrote %d participants to %s\n" % (args.participants, os.fsencode(args.out)), "summary")
     return EXIT_OK
 
 

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, count, repeat
+from operator import itemgetter, mul
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import _schema
 from .errors import ReportError, SchemaError
 from .goal_structure import GoalStructure, KeyGoal, key_goals_from_obj, validate_structure
-from .ingest import ResponseSet, _columns
+from .ingest import ResponseSet
 from .questionnaire import _markdown
-from .scoring import AggregateScores, ParticipantScore, aggregate_scores
+from .scoring import AggregateScores, ParticipantScore, ScoreTable, _tree_ids, aggregate_scores
 
 RENDER_FORMATS = ("markdown", "json", "csv")
 HISTOGRAM_BINS = 10
@@ -36,14 +38,19 @@ class Participation:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """All four score levels plus distribution and participation context."""
+    """All four score levels plus distribution and participation context.
+
+    participants is the ScoreTable of score_all (kept by build_report) or of
+    parse_report, or any other sequence of ParticipantScore, which the
+    writers read through ScoreTable.of.
+    """
 
     title: str
     version: str
     generated_at: str
     aggregates: AggregateScores
     key_goals: tuple[KeyGoal, ...]
-    participants: tuple[ParticipantScore, ...]
+    participants: Sequence[ParticipantScore]
     histogram: tuple[int, ...]
     participation: Participation | None
     groups: Mapping[str, Mapping[str, AggregateScores]] | None
@@ -77,8 +84,12 @@ def build_report(
     When group_by names demographic keys, the full aggregation is redone
     per group over that group's participants (means of means would mislead
     with unequal group sizes).
+
+    A ScoreTable is kept as the report's participants; any other sequence of
+    scores is kept as a tuple, as it was given.
     """
-    score_of = {score.participant_id: score for score in scores}
+    if not isinstance(scores, ScoreTable):
+        scores = tuple(scores)
 
     participation_record = None
     if participation is not None:
@@ -92,18 +103,17 @@ def build_report(
     groups: dict[str, dict[str, AggregateScores]] | None = None
     if group_by:
         groups = {}
+        table = ScoreTable.of(scores, *_tree_ids(structure.key_goals))
+        position = dict(zip(table.ids, count()))
         for key in group_by:
             if key not in responses.demographics:
                 raise ReportError(f"group_by key {key!r} is not a declared demographic {tuple(responses.demographics)}")
-            members: dict[str, list[ParticipantScore]] = {}
+            members: dict[str, list[int]] = {}
             for record in responses.participants:
-                if record.participant_id not in score_of:
+                if record.participant_id not in position:
                     raise ReportError(f"participant {record.participant_id!r} has no score; inputs are not from one run")
-                members.setdefault(record.demographics[key], []).append(score_of[record.participant_id])
-            groups[key] = {
-                value: aggregate_scores(group_scores, structure)
-                for value, group_scores in sorted(members.items())
-            }
+                members.setdefault(record.demographics[key], []).append(position[record.participant_id])
+            groups[key] = {value: aggregate_scores(table.take(indices), structure) for value, indices in sorted(members.items())}
 
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -114,24 +124,19 @@ def build_report(
         generated_at=generated_at,
         aggregates=aggregates,
         key_goals=structure.key_goals,
-        participants=tuple(scores),
-        histogram=_histogram(score.overall for score in scores),
+        participants=scores,
+        histogram=_histogram(scores.overall if isinstance(scores, ScoreTable) else [score.overall for score in scores]),
         participation=participation_record,
         groups=groups,
         warnings=tuple(responses.warnings),
     )
 
 
-def _tree_ids(key_goals: Sequence[KeyGoal]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The key-goal ids and the sub-goal ids of a tree, in tree order."""
-    return tuple(key.id for key in key_goals), tuple(sub.id for key in key_goals for sub in key.sub_goals)
-
-
 def _histogram(overalls: Iterable[float]) -> tuple[int, ...]:
     """Counts of overall scores in [0, 1] per tenth; 1.0 falls in the last bin."""
     histogram = [0] * HISTOGRAM_BINS
-    for overall in overalls:
-        histogram[min(int(overall * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
+    for tenth, n in Counter(map(int, map(mul, overalls, repeat(HISTOGRAM_BINS)))).items():
+        histogram[min(tenth, HISTOGRAM_BINS - 1)] += n
     return tuple(histogram)
 
 
@@ -140,8 +145,9 @@ def render_report(report: ScoreReport, format: str) -> bytes:
         return _render_markdown(report).encode("utf-8")
     if format == "json":
         # Written with each score map a record of the tree's ids, so every map is laid out in tree order and one with other ids is a SchemaError.
-        scores = [dict.fromkeys(ids, float) for ids in _tree_ids(report.key_goals)]
-        return _schema.dumps(_report_to_obj(report), _report_shape(*scores))
+        key_ids, sub_ids = _tree_ids(report.key_goals)
+        shape = _report_shape(dict.fromkeys(key_ids, float), dict.fromkeys(sub_ids, float))
+        return _schema.dumps(_report_to_obj(report, _participant_columns(report.participants, key_ids, sub_ids)), shape)
     if format == "csv":
         return _render_csv(report).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
@@ -260,7 +266,23 @@ def _aggregates_to_obj(agg: AggregateScores) -> dict:
     }
 
 
-def _report_to_obj(report: ScoreReport) -> dict:
+def _participant_columns(participants: Sequence[ParticipantScore], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> _schema.Columns | None:
+    """The participants as the json writer's leaf columns: id, overall, then the key-goal and sub-goal scores in tree order.
+
+    None when a hand-made score map is not a dict of exactly the tree's ids:
+    the participants are then written as records, which the writer's check
+    rejects, naming the map's JSON path.
+    """
+    if not (isinstance(participants, ScoreTable) and (participants.key_ids, participants.sub_ids) == (key_ids, sub_ids)):
+        keys, subs = dict.fromkeys(key_ids).keys(), dict.fromkeys(sub_ids).keys()
+        for score in participants:
+            if not (type(score.key_goal_scores) is dict and type(score.sub_goal_scores) is dict and score.key_goal_scores.keys() == keys and score.sub_goal_scores.keys() == subs):
+                return None
+    return _schema.Columns(ScoreTable.of(participants, key_ids, sub_ids).columns)
+
+
+def _report_to_obj(report: ScoreReport, participants: Any = None) -> dict:
+    """The report as the value its json shape describes; participants, if given, stands in for the list of participant records."""
     agg = report.aggregates
     return {
         "title": report.title,
@@ -287,7 +309,7 @@ def _report_to_obj(report: ScoreReport) -> dict:
                 "sub_goals": score.sub_goal_scores,
             }
             for score in report.participants
-        ],
+        ] if participants is None else participants,
         "distribution": {
             "n": agg.n_participants,
             "n_max": agg.n_overall_max,
@@ -344,10 +366,19 @@ def parse_report(document: bytes | str) -> ScoreReport:
     """
     data = _schema.load_json(document, "report")
     _schema.check(data, REPORT_SHAPE)
-    distribution, groups = data["distribution"], data["groups"]
+    distribution, groups, participants = data["distribution"], data["groups"], data["participants"]
+    structure = GoalStructure(title=data["title"], version=data["version"], key_goals=key_goals_from_obj(data["key_goals"]))
+    for violation in validate_structure(structure)[:1]:
+        raise SchemaError(f"{violation.path}: {violation.message}")
+    if not participants:
+        raise SchemaError("$.participants: a report has at least one participant")
+    key_ids, sub_ids = _tree_ids(structure.key_goals)
+    overall = tuple(map(itemgetter("overall"), participants))
+    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
+    _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
     report = ScoreReport(
-        title=data["title"],
-        version=data["version"],
+        title=structure.title,
+        version=structure.version,
         generated_at=data["generated_at"],
         aggregates=AggregateScores(
             general=data["general"],
@@ -357,8 +388,9 @@ def parse_report(document: bytes | str) -> ScoreReport:
             n_overall_max=distribution["n_max"],
             n_overall_zero=distribution["n_zero"],
         ),
-        key_goals=key_goals_from_obj(data["key_goals"]),
-        participants=tuple(ParticipantScore(p["id"], p["sub_goals"], p["key_goals"], p["overall"]) for p in data["participants"]),
+        key_goals=structure.key_goals,
+        # the maps' values in tree order, checked above, transposed into columns
+        participants=ScoreTable(key_ids, sub_ids, (tuple(map(itemgetter("id"), participants)), overall, *zip(*map(dict.values, key_maps)), *zip(*map(dict.values, sub_maps)))),
         histogram=tuple(distribution["histogram"]),
         participation=None if data["participation"] is None else Participation(**data["participation"]),
         groups=None if groups is None else {
@@ -367,11 +399,11 @@ def parse_report(document: bytes | str) -> ScoreReport:
         },
         warnings=tuple(data["warnings"]),
     )
-    _check_consistent(report)
+    _check_consistent(report, structure)
     return report
 
 
-def _check_scores(paths: Iterable[str], field: str, scores: list[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
+def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
     """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; one C-level pass over all rows finds whether there is one."""
     values = list(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))
     ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
@@ -388,20 +420,10 @@ def _check_scores(paths: Iterable[str], field: str, scores: list[float], key_map
             raise SchemaError(f"{path}.{field}: score {score!r} is outside [0, 1]")
 
 
-def _check_consistent(report: ScoreReport) -> None:
-    """Reject a well-shaped report whose figures build_report could not have produced."""
-    structure = GoalStructure(title=report.title, version=report.version, key_goals=report.key_goals)
-    for violation in validate_structure(structure)[:1]:
-        raise SchemaError(f"{violation.path}: {violation.message}")
-    if not report.participants:
-        raise SchemaError("$.participants: a report has at least one participant")
+def _check_consistent(report: ScoreReport, structure: GoalStructure) -> None:
+    """Reject a report, of a valid tree and participants with valid scores, whose figures build_report could not have produced."""
     key_ids, sub_ids = _tree_ids(report.key_goals)
-    participants = report.participants
-    overalls = [p.overall for p in participants]
-    key_maps, sub_maps = [p.key_goal_scores for p in participants], [p.sub_goal_scores for p in participants]
-    _check_scores(map("$.participants[{}]".format, range(len(overalls))), "overall", overalls, key_maps, sub_maps, key_ids, sub_ids)
-
-    got, want = report.aggregates, aggregate_scores(participants, structure)
+    got, want = report.aggregates, aggregate_scores(report.participants, structure)
     for path, found, expected in (
         ("$.distribution.n", got.n_participants, want.n_participants),
         ("$.distribution.n_max", got.n_overall_max, want.n_overall_max),
@@ -412,7 +434,7 @@ def _check_consistent(report: ScoreReport) -> None:
     ):
         if found != expected:
             raise SchemaError(f"{path}: {found!r} does not match the participants, which give {expected!r}")
-    histogram = _histogram(overalls)
+    histogram = _histogram(report.participants.overall)
     if report.histogram != histogram:
         raise SchemaError(f"$.distribution.histogram: must be the {HISTOGRAM_BINS}-bin histogram of the overalls, {list(histogram)}")
 
@@ -438,17 +460,6 @@ def _check_consistent(report: ScoreReport) -> None:
 
 
 # --- csv --------------------------------------------------------------------
-
-
-def _participant_rows(participants: Iterable[ParticipantScore], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> Iterator[tuple]:
-    """Rows of the participants section, scores as floats, which csv.writer writes as their repr.
-
-    Sub-goal scores take few distinct values, so each value is formatted
-    once, by a cache that lives only while the rows are written.
-    """
-    key_scores, sub_scores, text = _columns(key_ids), _columns(sub_ids), _schema.Reprs()
-    for score in participants:
-        yield (score.participant_id, score.overall, *key_scores(score.key_goal_scores), *map(text.__getitem__, sub_scores(score.sub_goal_scores)))
 
 
 def _render_csv(report: ScoreReport) -> str:
@@ -504,7 +515,9 @@ def _render_csv(report: ScoreReport) -> str:
     out.write("# participants\n")
     key_ids, sub_ids = _tree_ids(report.key_goals)
     writer.writerow(["participant_id", "overall", *key_ids, *sub_ids])
-    writer.writerows(_participant_rows(report.participants, key_ids, sub_ids))
+    # Scores as floats, which csv.writer writes as their repr; sub-goal scores take few distinct values, so each is formatted once.
+    table = ScoreTable.of(report.participants, key_ids, sub_ids)
+    writer.writerows(zip(table.ids, table.overall, *table.key_columns, *map(_schema.Reprs().texts, table.sub_columns)))
 
     if report.warnings:
         out.write("# warnings\n")

@@ -527,3 +527,20 @@ def test_score_into_a_closed_pipe_is_a_write_error(sample_files, participants, w
         assert not reader.is_alive()
     assert result.returncode == 2
     assert result.stderr.decode() == warnings + "error: cannot write report to stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["template", "simulate"])
+def test_summary_into_a_closed_pipe_is_a_write_error(sample_files, tmp_path, command):
+    # regression: the summary line went through print, so a closed pipe exited 3 with "internal error: BrokenPipeError"
+    structure, questionnaire, _ = sample_files
+    target = tmp_path / "written"
+    argv = ["template", structure, target] if command == "template" else ["simulate", structure, questionnaire, target, "--participants", "3"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_module(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == b"error: cannot write summary to stdout: Broken pipe\n"
+    assert target.stat().st_size > 0  # the file was written before the summary

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sure_eval._schema import Nullable, check, dumps
+from sure_eval import _schema
+from sure_eval._schema import Columns, Nullable, check, dumps
 from sure_eval.errors import SchemaError
 from sure_eval.goal_structure import STRUCTURE_SHAPE
 from sure_eval.questionnaire import QUESTIONNAIRE_SHAPE
@@ -175,3 +177,42 @@ def test_check_names_a_single_fault_at_its_own_path(shape, data):
     with pytest.raises(SchemaError) as err:
         check(root[0], shape)
     assert str(err.value) == f"{path}: {problem}"
+
+
+def test_the_repr_cache_keeps_zeros_and_writes_a_negative_zero_as_one():
+    # regression: a zero was never kept, so every zero score ran the cache's __missing__
+    reprs = _schema.Reprs()
+    assert list(reprs.texts((0.0,) * 300 + (0.5,))) == ["0.0"] * 300 + ["0.5"]
+    assert reprs == {0.0: "0.0", 0.5: "0.5"}
+    assert list(reprs.texts((0.0,) * 300 + (-0.0, 0.0))) == ["0.0"] * 300 + ["-0.0", "0.0"]
+    column = [0.0] * 300 + [-0.0] + [0.0] * 3
+    assert dumps(column, [float]) == (json.dumps(column, indent=2) + "\n").encode()
+    records = Columns([[f"P{i}" for i in range(len(column))], column])
+    assert dumps(records, [{"id": str, "score": float}]) == (json.dumps([{"id": f"P{i}", "score": x} for i, x in enumerate(column)], indent=2) + "\n").encode()
+
+
+def test_a_negative_zero_is_found_only_where_a_value_starts():
+    # on a little-endian host, 0.0 then this float hold the bytes of -0.0 one byte off a value's start
+    straddling = struct.unpack("<d", b"\x80" + bytes(5) + b"\xe0\x3f")[0]
+    assert not _schema._has_negative_zero((0.0, straddling, 0.5))
+    assert _schema._has_negative_zero((0.0, straddling, -0.0))
+    assert _schema._has_negative_zero((0.5, "not a number"))
+
+
+@pytest.mark.parametrize(
+    "value, shape, message",
+    [
+        ([0] * 4095 + ["x"], [int], r"^\$\[4095\]: expected an integer, got string$"),
+        ({f"k{i}": 0.5 for i in range(4096)} | {"k4000": 1}, {str: float}, r"^\$\.k4000: expected a number, got integer$"),
+        (Columns([[f"P{i}" for i in range(4096)], [0.5] * 4000 + [float("nan")] + [0.5] * 95]), [{"id": str, "score": {"v": float}}], r"^\$\[4000\]\.score\.v: expected a number, got NaN$"),
+    ],
+    ids=["array", "map", "columns"],
+)
+def test_a_misfit_among_many_elements_is_named_by_bisection(monkeypatch, value, shape, message):
+    # regression: the misfit walk ran the fit test once per element, 4096 times here
+    calls = []
+    fit = _schema._all_fit
+    monkeypatch.setattr(_schema, "_all_fit", lambda values, shape: calls.append(shape) or fit(values, shape))
+    with pytest.raises(SchemaError, match=message):
+        check(value, shape)
+    assert len(calls) <= 4 * (4096).bit_length()

@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 from sure_eval.errors import InvalidQuestionnaireError, NoDataError
 from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
 from sure_eval.ingest import MissingPolicy, ParticipantRecord, ResponseSet
-from sure_eval.questionnaire import Question, Questionnaire, default_scale, generate_template
+from sure_eval.questionnaire import Question, Questionnaire, Scale, ScaleLevel, default_scale, generate_template
+from sure_eval.report import RENDER_FORMATS, build_report, parse_report, render_report
 from sure_eval.scoring import (
     ParticipantScore,
+    ScoreTable,
     aggregate_scores,
     key_goal_score,
     participant_score,
@@ -284,3 +286,100 @@ def test_aggregate_means_are_left_to_right_column_sums(shape, pool, n):
     assert agg.key_goal == {k: reduce(add, (s.key_goal_scores[k] for s in scores), 0.0) / n for k in key_ids}
     assert agg.sub_goal == {s_id: reduce(add, (s.sub_goal_scores[s_id] for s in scores), 0.0) / n for s_id in sub_ids}
     assert list(agg.key_goal) == key_ids and list(agg.sub_goal) == sub_ids
+
+
+# --- the score table -----------------------------------------------------------
+
+
+@st.composite
+def scored_inputs(draw):
+    """A random tree whose sub goals have 1-4 questions each, in shuffled questionnaire order, a 2-9 level scale, and 1-8 participants in 1-3 groups."""
+    structure = make_structure(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    questions = [
+        Question(id=f"Q_{sub.id}_{j}", text="q", sub_goal=sub.id)
+        for key_goal in structure.key_goals
+        for sub in key_goal.sub_goals
+        for j in range(draw(st.integers(1, 4)))
+    ]
+    levels = draw(st.integers(2, 9))
+    questionnaire = Questionnaire(
+        questions=tuple(draw(st.permutations(questions))),
+        scale=Scale(tuple(ScaleLevel(code, f"level {code}") for code in range(levels))),
+        structure_version="1",
+    )
+    answers = st.fixed_dictionaries({question.id: st.integers(0, levels - 1) for question in questions})
+    participants = tuple(
+        ParticipantRecord(f"P{i}", {"group": draw(st.sampled_from("abc"))}, row)
+        for i, row in enumerate(draw(st.lists(answers, min_size=1, max_size=8)), start=1)
+    )
+    return structure, questionnaire, ResponseSet("1", participants, MissingPolicy.EXCLUDE_PARTICIPANT, ("group",), ())
+
+
+def reference_scores(structure, questionnaire, answers):
+    """The scoring module's rules, written out: each sub-goal mean summed left to right from 0.0 in questionnaire order, 1 - prod(1 - q) per key goal, the product of the key goals."""
+    sub_scores, key_scores, overall = {}, {}, 1.0
+    for key_goal in structure.key_goals:
+        shortfall = 1.0
+        for sub in key_goal.sub_goals:
+            codes = [answers[question.id] for question in questionnaire.questions if question.sub_goal == sub.id]
+            total = 0.0
+            for code in codes:
+                total += code / questionnaire.scale.max_code
+            sub_scores[sub.id] = total / len(codes)
+            shortfall *= 1.0 - sub_scores[sub.id]
+        key_scores[key_goal.id] = 1.0 - shortfall
+        overall *= key_scores[key_goal.id]
+    return sub_scores, key_scores, overall
+
+
+@given(scored_inputs())
+def test_the_score_table_is_the_rules_bit_for_bit(inputs):
+    structure, questionnaire, responses = inputs
+    table, _ = score_all(responses, questionnaire, structure)
+    assert isinstance(table, ScoreTable) and len(table) == len(responses.participants)
+    for record, score in zip(responses.participants, table):
+        sub_scores, key_scores, overall = reference_scores(structure, questionnaire, record.answers)
+        assert score.participant_id == record.participant_id
+        assert list(score.sub_goal_scores) == list(sub_scores) and list(score.key_goal_scores) == list(key_scores)
+        assert [value.hex() for value in (score.overall, *score.key_goal_scores.values(), *score.sub_goal_scores.values())] == [
+            value.hex() for value in (overall, *key_scores.values(), *sub_scores.values())
+        ]
+
+
+@given(scored_inputs())
+def test_the_score_table_and_its_list_give_the_same_results(inputs):
+    structure, questionnaire, responses = inputs
+    table, aggregates = score_all(responses, questionnaire, structure)
+    scores = list(table)
+    assert table == scores and table == tuple(scores) and table[1:] == scores[1:] and table[-1] == scores[-1]
+    assert aggregate_scores(scores, structure) == aggregate_scores(table, structure) == aggregates
+    n = len(scores)
+    report, from_list = (
+        build_report(given, aggregates, structure, responses, participation=(n, n + 1), group_by=["group"], generated_at="")
+        for given in (table, scores)
+    )
+    assert report == from_list
+    for format in RENDER_FORMATS:
+        assert render_report(report, format) == render_report(from_list, format)
+    data = render_report(report, "json")
+    assert parse_report(data) == report == parse_report(render_report(from_list, "json"))
+
+
+@given(scored_inputs(), st.data())
+def test_a_bad_answer_is_named_at_the_first_participant_and_question_in_plan_order(inputs, data):
+    structure, questionnaire, responses = inputs
+    levels = questionnaire.scale.size
+    plan_order = [question.id for key_goal in structure.key_goals for sub in key_goal.sub_goals for question in questionnaire.questions if question.sub_goal == sub.id]
+    cells = data.draw(st.lists(st.tuples(st.integers(0, len(responses.participants) - 1), st.sampled_from(plan_order)), min_size=2, max_size=5, unique=True))
+    rows = [dict(record.answers) for record in responses.participants]
+    for i, question_id in cells:
+        bad = data.draw(st.sampled_from([-1, levels, None]))
+        if bad is None:
+            del rows[i][question_id]
+        else:
+            rows[i][question_id] = bad
+    i, question_id = min(cells, key=lambda cell: (cell[0], plan_order.index(cell[1])))
+    participants = tuple(ParticipantRecord(record.participant_id, record.demographics, row) for record, row in zip(responses.participants, rows))
+    with pytest.raises(ValueError) as raised:
+        score_all(ResponseSet("1", participants, MissingPolicy.EXCLUDE_PARTICIPANT, ("group",), ()), questionnaire, structure)
+    assert str(raised.value) == f"participant 'P{i + 1}': answer for {question_id!r} must be a level code 0..{levels - 1}, found {rows[i].get(question_id)!r}"
