@@ -375,7 +375,7 @@ def parse_report(document: bytes | str) -> ScoreReport:
     key_ids, sub_ids = _tree_ids(structure.key_goals)
     overall = tuple(map(itemgetter("overall"), participants))
     key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-    _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
+    columns = _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
     report = ScoreReport(
         title=structure.title,
         version=structure.version,
@@ -389,8 +389,7 @@ def parse_report(document: bytes | str) -> ScoreReport:
             n_overall_zero=distribution["n_zero"],
         ),
         key_goals=structure.key_goals,
-        # the maps' values in tree order, checked above, transposed into columns
-        participants=ScoreTable(key_ids, sub_ids, (tuple(map(itemgetter("id"), participants)), overall, *zip(*map(dict.values, key_maps)), *zip(*map(dict.values, sub_maps)))),
+        participants=ScoreTable(key_ids, sub_ids, (tuple(map(itemgetter("id"), participants)), *columns)),
         histogram=tuple(distribution["histogram"]),
         participation=None if data["participation"] is None else Participation(**data["participation"]),
         groups=None if groups is None else {
@@ -403,12 +402,17 @@ def parse_report(document: bytes | str) -> ScoreReport:
     return report
 
 
-def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
-    """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; one C-level pass over all rows finds whether there is one."""
+def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]]:
+    """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; one C-level pass over all rows finds whether there is one.
+
+    Return the rows as columns: the scores, each key goal's, each sub goal's,
+    sliced from the one list of every value that the range check reads.
+    """
     values = list(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))
     ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
     if ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
-        return
+        n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
+        return [tuple(scores), *(tuple(values[n + j : subs_from : n_keys]) for j in range(n_keys)), *(tuple(values[subs_from + j :: len(sub_ids)]) for j in range(len(sub_ids)))]
     for path, score, key_scores, sub_scores in zip(paths, scores, key_maps, sub_maps):
         for name, by_id, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
             if tuple(by_id) != ids:
