@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from functools import reduce
 from operator import add
 
@@ -383,3 +385,13 @@ def test_a_bad_answer_is_named_at_the_first_participant_and_question_in_plan_ord
     with pytest.raises(ValueError) as raised:
         score_all(ResponseSet("1", participants, MissingPolicy.EXCLUDE_PARTICIPANT, ("group",), ()), questionnaire, structure)
     assert str(raised.value) == f"participant 'P{i + 1}': answer for {question_id!r} must be a level code 0..{levels - 1}, found {rows[i].get(question_id)!r}"
+
+
+def test_the_score_table_is_read_only_and_copies(structure, questionnaire, responses):
+    table, _ = score_all(responses, questionnaire, structure)
+    for change in (lambda: setattr(table, "columns", ()), lambda: delattr(table, "key_ids"), lambda: setattr(table, "cache", {})):
+        with pytest.raises(AttributeError):
+            change()
+    table[0].sub_goal_scores["A11"] = 2.0  # each ParticipantScore is built afresh
+    assert table[0].sub_goal_scores["A11"] != 2.0
+    assert pickle.loads(pickle.dumps(table)) == table == copy.deepcopy(table)
