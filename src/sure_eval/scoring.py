@@ -74,11 +74,10 @@ class ScoreTable(Sequence):
         for name, value in zip(self.__slots__, (key_ids, sub_ids, columns)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a ScoreTable")
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a ScoreTable")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a ScoreTable")
+    __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:
         return ScoreTable, (self.key_ids, self.sub_ids, self.columns)
