@@ -29,13 +29,6 @@ from .goal_structure import (
     serialize_structure,
     validate_structure,
 )
-from .ingest import (
-    MissingPolicy,
-    ParticipantRecord,
-    ResponseSet,
-    normalize,
-    parse_responses,
-)
 from .questionnaire import (
     Question,
     Questionnaire,
@@ -48,25 +41,34 @@ from .questionnaire import (
     serialize_questionnaire,
     validate_questionnaire,
 )
-from .report import (
-    Participation,
-    ScoreReport,
-    build_report,
-    parse_report,
-    participation_rate,
-    render_report,
-)
-from .scoring import (
-    AggregateScores,
-    ParticipantScore,
-    ScoreTable,
-    aggregate_scores,
-    key_goal_score,
-    participant_score,
-    score_all,
-    sub_goal_score,
-)
-from .simulate import simulate_responses
+
+
+# The rest of the public names, by module, imported on first use (PEP 562):
+# commands that only read the documents do not import the ingest, scoring
+# and report modules, nor csv, decimal and datetime.
+_LAZY = {
+    "ingest": ("MissingPolicy", "ParticipantRecord", "ParticipantTable", "ResponseSet", "normalize", "parse_responses"),
+    "report": ("Participation", "ScoreReport", "build_report", "parse_report", "participation_rate", "render_report"),
+    "scoring": ("AggregateScores", "ParticipantScore", "ScoreTable", "aggregate_scores", "key_goal_score", "participant_score", "score_all", "sub_goal_score"),
+    "simulate": ("simulate_responses",),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_MODULE_OF} - {"__getattr__", "__dir__", "_LAZY", "_MODULE_OF"})
+
 
 __version__ = "0.1.0"
 
@@ -82,6 +84,7 @@ __all__ = [
     "NotConfirmedError",
     "ParticipantRecord",
     "ParticipantScore",
+    "ParticipantTable",
     "Participation",
     "Question",
     "Questionnaire",

@@ -39,6 +39,11 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from .errors import SchemaError
 
 
+# The formats of report.render_report, kept here so that the command line
+# offers them without importing the report writers.
+RENDER_FORMATS = ("markdown", "json", "csv")
+
+
 class Nullable(NamedTuple):
     shape: Any
 
@@ -217,9 +222,11 @@ def dumps(value: Any, shape: Any) -> bytes:
 class Reprs(dict):
     """repr(value) for each float looked up, computed once per distinct value, zeros included.
 
-    0.0 and -0.0 are equal keys with different reprs, so texts() reads a
-    column through the cache only when one C-level pass over its bytes finds
-    no -0.0 in it; the cache then only ever holds a zero as "0.0".
+    Keys that compare equal share one text, so only floats may be looked up:
+    an int 0 or 1 would take, or leave, the text of 0.0 or 1.0. And 0.0 and
+    -0.0 have different reprs, so texts() reads a column through the cache
+    only when one C-level pass over its bytes finds no -0.0 in it; the cache
+    then only ever holds a zero as "0.0".
     """
 
     def __missing__(self, value: float) -> str:
@@ -227,7 +234,7 @@ class Reprs(dict):
         return text
 
     def texts(self, values: Sequence[float]) -> Iterator[str]:
-        """The repr of each of a column of values."""
+        """The repr of each of a column of floats."""
         if _has_negative_zero(values):
             return map(repr, values)
         return map(self.__getitem__, values)

@@ -25,19 +25,32 @@ import os
 import sys
 from contextlib import suppress
 from pathlib import Path
+from typing import Any
 
+from ._schema import RENDER_FORMATS
 from .errors import InvalidStructureError, NoDataError, NotConfirmedError, SchemaError, SureError
 from .goal_structure import parse_structure
-from .ingest import MissingPolicy, parse_responses
 from .questionnaire import (
     generate_template,
     parse_questionnaire,
     serialize_questionnaire,
     validate_questionnaire,
 )
-from .report import RENDER_FORMATS, build_report, render_report
-from .scoring import score_all
-from .simulate import simulate_responses
+
+# What only score and simulate use is read as an attribute of this module,
+# which takes it from the package, which imports it on first use (PEP 562):
+# the other commands start without the ingest, scoring and report modules,
+# or csv, decimal and datetime.
+_LAZY = ("MissingPolicy", "parse_responses", "score_all", "build_report", "render_report", "simulate_responses")
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
+
+_lazy = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -51,9 +64,10 @@ _EXIT_CODES = (
     (SureError, EXIT_INPUT),
 )
 
+# The value of the MissingPolicy each --policy choice picks.
 _POLICIES = {
-    "exclude": MissingPolicy.EXCLUDE_PARTICIPANT,
-    "zero": MissingPolicy.TREAT_AS_ZERO,
+    "exclude": "exclude_participant",
+    "zero": "treat_as_zero",
 }
 
 
@@ -138,17 +152,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     structure, questionnaire, violations = _documents(args)
     if violations:
         return _report_violations(violations, EXIT_INPUT)
-    responses = parse_responses(
+    responses = _lazy.parse_responses(
         _read(args.responses, "response CSV"),
         questionnaire,
         demographics=args.demographics,
-        policy=_POLICIES[args.policy],
+        policy=_lazy.MissingPolicy(_POLICIES[args.policy]),
     )
     for warning in responses.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    scores, aggregates = score_all(responses, questionnaire, structure)
-    report = build_report(
+    scores, aggregates = _lazy.score_all(responses, questionnaire, structure)
+    report = _lazy.build_report(
         scores,
         aggregates,
         structure,
@@ -157,7 +171,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         group_by=args.group_by or None,
         generated_at="" if args.reproducible else None,
     )
-    data = render_report(report, args.format)
+    data = _lazy.render_report(report, args.format)
     if args.out:
         _write_atomic(args.out, data, "report")
     else:
@@ -172,7 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _, questionnaire, violations = _documents(args)
     if violations:
         return _report_violations(violations, EXIT_INPUT)
-    _write_atomic(args.out, simulate_responses(questionnaire, args.participants, args.seed), "response CSV")
+    _write_atomic(args.out, _lazy.simulate_responses(questionnaire, args.participants, args.seed), "response CSV")
     _write_stdout(b"wrote %d participants to %s\n" % (args.participants, os.fsencode(args.out)), "summary")
     return EXIT_OK
 

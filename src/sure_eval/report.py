@@ -14,18 +14,18 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain, count, repeat
+from itertools import chain, count, groupby, repeat
 from operator import itemgetter, mul
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import _schema
+from ._schema import RENDER_FORMATS
 from .errors import ReportError, SchemaError
 from .goal_structure import GoalStructure, KeyGoal, key_goals_from_obj, validate_structure
-from .ingest import ResponseSet
+from .ingest import ParticipantTable, ResponseSet
 from .questionnaire import _markdown
 from .scoring import AggregateScores, ParticipantScore, ScoreTable, _tree_ids, aggregate_scores
 
-RENDER_FORMATS = ("markdown", "json", "csv")
 HISTOGRAM_BINS = 10
 
 
@@ -108,12 +108,15 @@ def build_report(
         for key in group_by:
             if key not in responses.demographics:
                 raise ReportError(f"group_by key {key!r} is not a declared demographic {tuple(responses.demographics)}")
-            members: dict[str, list[int]] = {}
-            for record in responses.participants:
-                if record.participant_id not in position:
-                    raise ReportError(f"participant {record.participant_id!r} has no score; inputs are not from one run")
-                members.setdefault(record.demographics[key], []).append(position[record.participant_id])
-            groups[key] = {value: aggregate_scores(table.take(indices), structure) for value, indices in sorted(members.items())}
+            people = ParticipantTable.of(responses.participants, (key,), ())
+            try:
+                scored = list(map(position.__getitem__, people.ids))
+            except KeyError as exc:  # the first id, in row order, without a score
+                raise ReportError(f"participant {exc.args[0]!r} has no score; inputs are not from one run") from None
+            values = people.demographic_columns[0]
+            # A stable sort by value keeps each group's members in row order, the order its sums run in.
+            by_value = groupby(sorted(range(len(values)), key=values.__getitem__), values.__getitem__)
+            groups[key] = {value: aggregate_scores(table.take(list(map(scored.__getitem__, members))), structure) for value, members in by_value}
 
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -519,9 +522,11 @@ def _render_csv(report: ScoreReport) -> str:
     out.write("# participants\n")
     key_ids, sub_ids = _tree_ids(report.key_goals)
     writer.writerow(["participant_id", "overall", *key_ids, *sub_ids])
-    # Scores as floats, which csv.writer writes as their repr; sub-goal scores take few distinct values, so each is formatted once.
-    table = ScoreTable.of(report.participants, key_ids, sub_ids)
-    writer.writerows(zip(table.ids, table.overall, *table.key_columns, *map(_schema.Reprs().texts, table.sub_columns)))
+    # Scores as their repr, which csv.writer writes for a float; sub-goal scores take few distinct values, so
+    # each is formatted once, through a cache that only floats may use: a hand-made score can be an int.
+    table, reprs = ScoreTable.of(report.participants, key_ids, sub_ids), _schema.Reprs()
+    sub_texts = [reprs.texts(column) if {*map(type, column)} <= {float} else map(repr, column) for column in table.sub_columns]
+    writer.writerows(zip(table.ids, table.overall, *table.key_columns, *sub_texts))
 
     if report.warnings:
         out.write("# warnings\n")

@@ -20,13 +20,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add, attrgetter, mul, sub, truediv
+from itertools import compress, count, repeat
+from operator import add, mul, not_, sub, truediv
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidQuestionnaireError, NoDataError
 from .goal_structure import GoalStructure, KeyGoal, SubGoal
-from .ingest import ParticipantRecord, ResponseSet, _columns, normalize
+from .ingest import ParticipantRecord, ParticipantTable, ResponseSet, _columns, _Table, normalize
 from .questionnaire import Questionnaire, validate_questionnaire
 
 
@@ -52,7 +52,7 @@ class AggregateScores:
     n_overall_zero: int
 
 
-class ScoreTable(Sequence):
+class ScoreTable(_Table):
     """Every participant's scores as one tuple column per score, in participant order.
 
     columns holds the participant ids, the overall scores, one column per
@@ -63,27 +63,9 @@ class ScoreTable(Sequence):
     tuple of equal ParticipantScore values. Its attributes cannot be set.
     """
 
-    # Read-only by hand rather than a frozen dataclass, whose creation added
-    # about 1.4 ms to the import of every command (2-vCPU Linux host).
     __slots__ = ("key_ids", "sub_ids", "columns")
     key_ids: tuple[str, ...]
     sub_ids: tuple[str, ...]
-    columns: tuple[tuple, ...]
-
-    def __init__(self, key_ids: tuple[str, ...], sub_ids: tuple[str, ...], columns: tuple[tuple, ...]):
-        for name, value in zip(self.__slots__, (key_ids, sub_ids, columns)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r} of a ScoreTable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return ScoreTable, (self.key_ids, self.sub_ids, self.columns)
-
-    def __repr__(self) -> str:
-        return f"ScoreTable(key_ids={self.key_ids!r}, sub_ids={self.sub_ids!r}, columns={self.columns!r})"
 
     @classmethod
     def of(cls, scores: Sequence[ParticipantScore], key_ids: Sequence[str], sub_ids: Sequence[str]) -> ScoreTable:
@@ -94,10 +76,6 @@ class ScoreTable(Sequence):
         keys, subs = _columns(key_ids), _columns(sub_ids)
         rows = [(score.participant_id, score.overall, *keys(score.key_goal_scores), *subs(score.sub_goal_scores)) for score in scores]
         return cls(key_ids, sub_ids, tuple(zip(*rows)) if rows else ((),) * (2 + len(key_ids) + len(sub_ids)))
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self.columns[0]
 
     @property
     def overall(self) -> tuple[float, ...]:
@@ -111,32 +89,9 @@ class ScoreTable(Sequence):
     def sub_columns(self) -> tuple[tuple[float, ...], ...]:
         return self.columns[2 + len(self.key_ids) :]
 
-    def take(self, indices: Sequence[int]) -> ScoreTable:
-        """The table of the participants at these positions, in this order."""
-        get = _columns(indices)
-        return ScoreTable(self.key_ids, self.sub_ids, tuple(map(get, self.columns)))
-
-    def _score(self, row: tuple) -> ParticipantScore:
+    def _record(self, row: tuple) -> ParticipantScore:
         n_keys = len(self.key_ids)
         return ParticipantScore(row[0], dict(zip(self.sub_ids, row[2 + n_keys :])), dict(zip(self.key_ids, row[2 : 2 + n_keys])), row[1])
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ScoreTable(self.key_ids, self.sub_ids, tuple(column[index] for column in self.columns))
-        return self._score(tuple(column[index] for column in self.columns))
-
-    def __iter__(self) -> Iterator[ParticipantScore]:
-        return map(self._score, zip(*self.columns))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScoreTable) and (other.key_ids, other.sub_ids) == (self.key_ids, self.sub_ids):
-            return other.columns == self.columns
-        if isinstance(other, (ScoreTable, list, tuple)):
-            return list(other) == list(self)
-        return NotImplemented
 
 
 def sub_goal_score(record: ParticipantRecord, sub_goal: SubGoal, questionnaire: Questionnaire) -> float:
@@ -187,32 +142,30 @@ def _compile(questionnaire: Questionnaire, key_goals: Sequence[KeyGoal]) -> tupl
 def _kernel(records: Sequence[ParticipantRecord], plan: list[tuple[str, list[tuple[str, list[str]]]]], unit: dict[int, float]) -> ScoreTable:
     """Every participant's scores, by the three rules run as C-level passes over columns, in plan order.
 
-    One itemgetter reads each record's answer codes in plan order, and the
-    rows are transposed into one column of codes per question: one pass over
-    the answer maps, which per-question passes would walk once per question.
-    A missing answer or one outside unit's codes fails a pass; only then
-    does a walk in participant and plan order name the first one.
+    The answer codes are the records' code columns in plan order, as a
+    ParticipantTable holds them: parse_responses' table gives its own
+    columns, any other sequence is read through ParticipantTable.of. A
+    missing answer or one outside unit's codes fails a pass; only then does
+    a walk name the first one, in participant and plan order.
     """
     key_ids = tuple(key_id for key_id, _ in plan)
     sub_ids = tuple(sub_id for _, subs in plan for sub_id, _ in subs)
     if not records:  # nothing to score, whatever the plan: score_all's aggregation names that
         return ScoreTable.of((), key_ids, sub_ids)
     question_ids = [question_id for _, subs in plan for _, ids in subs for question_id in ids]
+    table = ParticipantTable.of(records, (), question_ids)
+    codes = iter(table.code_columns)
+    sub_columns: list[tuple[float, ...]] = []
+    key_columns: list[tuple[float, ...]] = []
     try:
-        rows = list(map(_columns(question_ids), map(attrgetter("answers"), records)))
-        codes = iter(list(zip(*rows)))
-        del rows  # its transpose holds the same codes
-        sub_columns: list[tuple[float, ...]] = []
-        key_columns: list[tuple[float, ...]] = []
         for _, subs in plan:
             means = [tuple(_mean([next(codes) for _ in ids], unit)) for _, ids in subs]
             sub_columns += means
             key_columns.append(tuple(_parallel(means)))
     except KeyError:
-        _raise_bad_answer(records, question_ids, unit)
+        _raise_bad_answer(table, unit)
         raise
-    ids = tuple(map(attrgetter("participant_id"), records))
-    return ScoreTable(key_ids, sub_ids, (ids, tuple(_series(key_columns)), *key_columns, *sub_columns))
+    return ScoreTable(key_ids, sub_ids, (table.ids, tuple(_series(key_columns)), *key_columns, *sub_columns))
 
 
 def _mean(code_columns: Sequence[Iterable[int]], unit: dict[int, float]) -> Iterator[float]:
@@ -250,13 +203,12 @@ def _series(key_columns: Sequence[Iterable[float]]) -> Iterator[float]:
     return overall
 
 
-def _raise_bad_answer(records: Sequence[ParticipantRecord], question_ids: list[str], unit: dict[int, float]) -> None:
-    """Raise the ValueError naming the first participant, and its first question in plan order, whose answer is missing or not one of unit's codes."""
-    for record in records:
-        for question_id in question_ids:
-            answer = record.answers.get(question_id)
-            if answer not in unit:
-                raise ValueError(f"participant {record.participant_id!r}: answer for {question_id!r} must be a level code 0..{len(unit) - 1}, found {answer!r}") from None
+def _raise_bad_answer(table: ParticipantTable, unit: dict[int, float]) -> None:
+    """Raise the ValueError naming the first participant, and its first question in table order, whose answer is missing or not one of unit's codes."""
+    first_bad = (next(compress(count(), map(not_, map(unit.__contains__, column))), len(table)) for column in table.code_columns)
+    row, j = min(zip(first_bad, count()))
+    if row < len(table):
+        raise ValueError(f"participant {table.ids[row]!r}: answer for {table.question_ids[j]!r} must be a level code 0..{len(unit) - 1}, found {table.code_columns[j][row]!r}") from None
 
 
 def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructure) -> AggregateScores:

@@ -469,14 +469,19 @@ def test_output_file_mode_follows_the_umask(sample_files, capsys, command, umask
 # --- the installed entry point -----------------------------------------------------
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
-    """Run ``python -m sure_eval`` in a child process on this checkout's package."""
+def run_python(*argv, stdout=subprocess.PIPE):
+    """Run ``python ARGV`` in a child process on this checkout's package."""
     env = dict(os.environ)
     src = str(Path(sure_eval.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "sure_eval", *(str(a) for a in argv)], env=env, stdout=stdout, stderr=subprocess.PIPE, check=False,
+        [sys.executable, *(str(a) for a in argv)], env=env, stdout=stdout, stderr=subprocess.PIPE, check=False,
     )
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    """Run ``python -m sure_eval`` in a child process on this checkout's package."""
+    return run_python("-m", "sure_eval", *argv, stdout=stdout)
 
 
 GOLDEN_ARGS = ("--demographics", "gender", "--group-by", "gender", "--enrolled", "20", "--reproducible")
@@ -544,3 +549,60 @@ def test_summary_into_a_closed_pipe_is_a_write_error(sample_files, tmp_path, com
     assert result.returncode == 2
     assert result.stderr == b"error: cannot write summary to stdout: Broken pipe\n"
     assert target.stat().st_size > 0  # the file was written before the summary
+
+
+# --- what each command imports ------------------------------------------------------
+
+SCORING_PATH = ("sure_eval.ingest", "sure_eval.scoring", "sure_eval.report", "sure_eval.simulate", "csv", "decimal", "datetime")
+
+
+def stdout_of(code):
+    """The stdout of code run in a child process on this checkout's package."""
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout.decode()
+
+
+@pytest.mark.parametrize("command", ["validate", "template", "check"])
+def test_commands_that_read_only_the_documents_import_no_scoring_path(sample_files, tmp_path, command):
+    structure, questionnaire, _ = sample_files
+    argv = {"validate": [structure], "template": [structure, tmp_path / "q.json"], "check": [structure, questionnaire]}[command]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['sure-eval', {command!r}, *{[str(path) for path in argv]!r}]\n"
+        "try:\n"
+        "    runpy.run_module('sure_eval', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"print(sorted(set({SCORING_PATH!r}) & set(sys.modules)))\n"
+    )
+    assert stdout_of(code).splitlines()[-1] == "[]"
+
+
+def test_the_package_exports_every_name_on_first_use():
+    code = (
+        "import sys\n"
+        "import sure_eval\n"
+        f"print(sorted(set({SCORING_PATH!r}) & set(sys.modules)))\n"
+        "names = {}\n"
+        "exec('from sure_eval import *', names)\n"
+        "print(sorted(set(sure_eval.__all__) - set(names)), sure_eval.score_all is sys.modules['sure_eval.scoring'].score_all)\n"
+        "print(set(sure_eval.__all__) <= set(dir(sure_eval)), {'ingest', 'report', 'scoring', 'simulate'} <= set(dir(sure_eval)))\n"
+    )
+    assert stdout_of(code).splitlines() == ["[]", "[] True", "True True"]
+    with pytest.raises(AttributeError, match="has no attribute 'not_a_name'"):
+        sure_eval.not_a_name
+
+
+def test_score_builds_no_record_per_participant(sample_files, capsys, monkeypatch):
+    from sure_eval.ingest import ParticipantTable
+    from sure_eval.scoring import ScoreTable
+
+    def no_record(self, row):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(ParticipantTable, "_record", no_record)
+    monkeypatch.setattr(ScoreTable, "_record", no_record)
+    for format in sure_eval.report.RENDER_FORMATS:
+        code, out, err = run(capsys, "score", *sample_files, "--format", format, *GOLDEN_ARGS)
+        assert (code, out.count("S001")) == (0, format != "markdown")

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
+from ingest_reference import parse_row_by_row
 
 from sure_eval.errors import ResponseError
-from sure_eval.ingest import MissingPolicy, normalize, parse_responses
-from sure_eval.questionnaire import Scale, ScaleLevel, default_scale
+from sure_eval.ingest import MissingPolicy, ParticipantRecord, ParticipantTable, normalize, parse_responses
+from sure_eval.questionnaire import Question, Questionnaire, Scale, ScaleLevel, default_scale
+from sure_eval.report import RENDER_FORMATS, build_report, render_report
+from sure_eval.scoring import score_all
 
 
 def csv_for(questionnaire, rows, demographics=(), header=None):
@@ -324,3 +329,125 @@ def test_questionnaire_without_questions_reads_empty_answers(questionnaire):
     empty = replace(questionnaire, questions=())
     rs = parse_responses(b"participant_id,gender\nP1,F\nP2,M\n", empty, demographics=["gender"])
     assert [(p.participant_id, p.demographics, p.answers) for p in rs.participants] == [("P1", {"gender": "F"}, {}), ("P2", {"gender": "M"}, {})]
+
+
+# --- the column reader against the row-by-row reference ---------------------------
+
+ROW_KINDS = ["row"] * 8 + ["empty line", "spaces", "blank cells", "short", "long"] + ["row"] * 8
+
+
+@st.composite
+def response_files(draw):
+    """A small questionnaire, its demographics, and a response CSV for them with the faults and oddities ingest must handle.
+
+    The header is always valid (its check reads only the header). Rows are
+    complete, or blank lines, lines of spaces, rows of blank cells, or a cell
+    short or long; ids may be empty, padded or repeated; answers may be
+    blank, padded, signed, out of range or not integers; the header may end
+    in unnamed columns, whose cells are mostly blank.
+    """
+    levels = draw(st.integers(2, 5))
+    questionnaire = Questionnaire(
+        questions=tuple(Question(f"Q{i}", "q", "S") for i in range(draw(st.integers(0, 4)))),
+        scale=Scale(tuple(ScaleLevel(code, f"level {code}") for code in range(levels))),
+        structure_version="1",
+    )
+    demographics = draw(st.sampled_from([(), ("d1",), ("d1", "d2")]))
+    header = ["participant_id", *draw(st.permutations([*demographics, *questionnaire.question_ids()])), *[""] * draw(st.integers(0, 2))]
+    codes = [str(code) for code in range(levels)]
+    answers = st.sampled_from(codes * 4 + ["", " ", " 1 ", "01", "+1", "-0", "-1", str(levels), "1.0", "x", "\u0663", "1_0"] + codes * 4)
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        cells = {"participant_id": draw(st.sampled_from([f"P{i}"] * 8 + [f" P{i} ", "P0", "", " "] + [f"P{i}"] * 8)), "": ""}
+        cells.update((name, draw(st.sampled_from(["a", " b ", "", "c d"]))) for name in demographics)
+        cells.update((question_id, draw(answers)) for question_id in questionnaire.question_ids())
+        row = [cells[name] if name else draw(st.sampled_from([""] * 8 + ["x"] + [" "] * 8)) for name in header]
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "empty line" or kind == "spaces":
+            row = [" " * (kind == "spaces")]
+        elif kind == "blank cells":
+            row = [draw(st.sampled_from(["", " "])) for _ in header]
+        elif kind == "short":
+            row = row[:-1]
+        elif kind == "long":
+            row = [*row, draw(st.sampled_from(["", "z"]))]
+        lines.append(",".join(row))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join([",".join(header), *lines]) + draw(st.sampled_from(["", "\n"]))
+    return text.encode(), questionnaire, demographics
+
+
+@given(response_files(), st.sampled_from(MissingPolicy))
+def test_the_column_reader_gives_what_the_row_loop_gives(file, policy):
+    data, questionnaire, demographics = file
+    try:
+        expected = parse_row_by_row(data, questionnaire, demographics, policy)
+    except ResponseError as exc:
+        expected = exc
+    try:
+        rs = parse_responses(data, questionnaire, demographics, policy)
+    except ResponseError as exc:
+        assert isinstance(expected, ResponseError), exc
+        assert (str(exc), exc.row, exc.column) == (str(expected), expected.row, expected.column)
+    else:
+        assert not isinstance(expected, ResponseError), expected
+        assert ([(p.participant_id, p.demographics, p.answers) for p in rs.participants], list(rs.warnings)) == expected
+        assert all(list(p.answers) == questionnaire.question_ids() for p in rs.participants)
+        assert rs.participants == [ParticipantRecord(*participant) for participant in expected[0]]
+
+
+def test_the_first_faulty_row_is_reported_whichever_pass_finds_it(questionnaire):
+    rows = [full_row("P1", questionnaire, 1), full_row("P2", questionnaire, "x"), full_row("P1", questionnaire, 2), ["P4"]]
+    with pytest.raises(ResponseError, match=r"^answer 'x' is not an integer \(row 3, column 'Q_A11'\)$"):
+        parse_responses(csv_for(questionnaire, rows), questionnaire)
+    with pytest.raises(ResponseError, match=r"^duplicate participant_id 'P1' \(row 3, column 'participant_id'\)$"):
+        parse_responses(csv_for(questionnaire, [rows[0], rows[2], rows[1]]), questionnaire)
+    with pytest.raises(ResponseError, match=r"^expected 21 cells, found 1 \(row 3\)$"):
+        parse_responses(csv_for(questionnaire, [rows[0], rows[3], rows[1]]), questionnaire)
+
+
+# --- the participant table ---------------------------------------------------------
+
+
+def test_the_participant_table_is_read_only_and_copies(responses):
+    table = responses.participants
+    assert isinstance(table, ParticipantTable) and table.question_ids == tuple(responses.participants[0].answers)
+    for change in (lambda: setattr(table, "columns", ()), lambda: delattr(table, "demographics"), lambda: setattr(table, "cache", {})):
+        with pytest.raises(AttributeError, match="of a ParticipantTable"):
+            change()
+    table[0].answers["Q_A11"] = 0  # each ParticipantRecord is built afresh
+    table[0].demographics["gender"] = "X"
+    assert (table[0].answers["Q_A11"], table[0].demographics["gender"]) == (4, "F")
+    assert pickle.loads(pickle.dumps(table)) == table == copy.deepcopy(table)
+    assert pickle.loads(pickle.dumps(responses)) == responses
+
+
+def test_the_participant_table_equals_its_records(responses):
+    table = responses.participants
+    records = list(table)
+    assert table == records and table == tuple(records) and records == table
+    assert isinstance(table[1:], ParticipantTable) and table[1:] == records[1:] and table[-1] == records[-1]
+    assert table != records[:-1] and table != records[::-1] and table != "not a table"
+    assert table.take([2, 0]) == [records[2], records[0]]
+    assert ParticipantTable.of(records, table.demographics, table.question_ids) == table
+    assert repr(table).startswith("ParticipantTable(demographics=('gender',), question_ids=('Q_A11', ")
+
+
+def test_participant_table_of_picks_columns_and_reads_records_by_name(responses):
+    table = responses.participants
+    picked = ParticipantTable.of(table, (), ["Q_A31", "Q_A11"])
+    assert picked.columns == (table.ids, table.columns[table.question_ids.index("Q_A31") + 2], table.columns[2])
+    assert picked.columns[0] is table.ids
+    hand_made = [ParticipantRecord("P1", {"gender": "F"}, {"Q_A11": 3}), ParticipantRecord("P2", {}, {"Q_A11": 2, "Q_A31": 1})]
+    assert ParticipantTable.of(hand_made, ["gender"], ["Q_A31", "Q_A11"]).columns == (("P1", "P2"), ("F", None), (None, 1), (3, 2))
+    assert ParticipantTable.of((), ["gender"], ["Q_A11"]).columns == ((), (), ())
+
+
+def test_scoring_and_groups_read_a_table_and_its_records_alike(structure, questionnaire, responses):
+    as_records = replace(responses, participants=tuple(responses.participants))
+    reports = []
+    for given_responses in (responses, as_records):
+        scores, aggregates = score_all(given_responses, questionnaire, structure)
+        reports.append(build_report(scores, aggregates, structure, given_responses, participation=(9, 20), group_by=["gender"], generated_at=""))
+    assert reports[0] == reports[1]
+    for format in RENDER_FORMATS:
+        assert render_report(reports[0], format) == render_report(reports[1], format)

@@ -456,3 +456,25 @@ def test_csv_keeps_the_sign_of_a_zero_sub_goal_score(structure, questionnaire, r
         "P1,0.5,0.5,0.0,-0.0,0.5\n"
         "P2,-0.0,0.5,-0.0,0.0,0.5\n"
     )
+
+
+def test_csv_writes_an_int_score_without_changing_other_participants_floats(structure, questionnaire, responses):
+    # regression: the repr cache took int 0 and 1 for the equal floats 0.0 and 1.0, so every later 0.0 and 1.0 was written "0" and "1"
+    scores, aggregates = score_all(responses, questionnaire, structure)
+    report = build_report(scores, aggregates, structure, responses, generated_at="")
+    first = scores[0]
+    sub_scores = dict(first.sub_goal_scores)
+    sub_scores.update(zip(list(sub_scores)[:2], (0, 1)))
+    hand_made = replace(report, participants=(replace(first, sub_goal_scores=sub_scores), *scores[1:]))
+    lines, hand_made_lines = (render_report(each, "csv").decode().splitlines() for each in (report, hand_made))
+    changed = [line for line, hand_made_line in zip(lines, hand_made_lines) if line != hand_made_line]
+    assert len(lines) == len(hand_made_lines) and changed == [lines[lines.index("# participants") + 2]]
+    written = hand_made_lines[lines.index("# participants") + 2].split(",")
+    values = (first.participant_id, first.overall, *first.key_goal_scores.values(), *sub_scores.values())
+    assert written == [first.participant_id, *map(repr, values[1:])] and written[-20:-18] == ["0", "1"]
+
+
+def test_groups_name_the_first_participant_without_a_score(scored, structure, responses):
+    scores, aggregates = scored
+    with pytest.raises(ReportError, match=r"^participant 'S002' has no score; inputs are not from one run$"):
+        build_report(scores.take([0, 2, 3]), aggregates, structure, responses, group_by=["gender"])
