@@ -215,26 +215,33 @@ def dumps(value: Any, shape: Any) -> bytes:
     """
     check(value, shape)
     # Compiling the shape takes tens of microseconds, so each call compiles its own, with its own repr cache, and nothing outlives it.
-    pieces = chain(_writer(shape, "\n", Reprs())(value), ("\n",))
-    return b"".join(map(str.encode, iter(lambda: "".join(islice(pieces, 128)), "")))  # no piece is empty, so only the end joins to ""
+    return b"".join(map(str.encode, batches(chain(_writer(shape, "\n", Reprs())(value), ("\n",)))))
+
+
+def batches(pieces: Iterator[str]) -> Iterator[str]:
+    """pieces joined 128 at a time, none of which may be empty: only the end joins to ""."""
+    return iter(lambda: "".join(islice(pieces, 128)), "")
 
 
 class Reprs(dict):
     """repr(value) for each float looked up, computed once per distinct value, zeros included.
 
     Keys that compare equal share one text, so only floats may be looked up:
-    an int 0 or 1 would take, or leave, the text of 0.0 or 1.0. And 0.0 and
-    -0.0 have different reprs, so texts() reads a column through the cache
-    only when one C-level pass over its bytes finds no -0.0 in it; the cache
-    then only ever holds a zero as "0.0".
+    an int 0 or 1, or a bool, would take, or leave, the text of 0.0 or 1.0.
+    texts() therefore reads a column through the cache only when it holds
+    nothing but floats. And 0.0 and -0.0 have different reprs, so it also
+    needs one C-level pass over the column's bytes to find no -0.0 in it; the
+    cache then only ever holds a zero as "0.0".
     """
 
     def __missing__(self, value: float) -> str:
         self[value] = text = repr(value)
         return text
 
-    def texts(self, values: Sequence[float]) -> Iterator[str]:
-        """The repr of each of a column of floats."""
+    def texts(self, values: Sequence, other: Callable[[Any], str] = repr) -> Iterator[str]:
+        """The repr of each of a column of floats; other(value) of each value of a column that is not all floats."""
+        if not {*map(type, values)} <= {float}:
+            return map(other, values)
         if _has_negative_zero(values):
             return map(repr, values)
         return map(self.__getitem__, values)

@@ -245,29 +245,40 @@ def parse_responses(
         unread.append(_positions(codes[-1], -1))
         flagged.update(unread[-1])
 
+    unread_of: dict[int, list[str]] = {}  # the questions of a row whose code is -1, in questionnaire order
+    for question_id, positions in zip(question_ids, unread):
+        for position in positions:
+            unread_of.setdefault(position, []).append(question_id)
+
     warnings: list[str] = []
     dropped: list[int] = []
-    read: dict[int, dict[str, int | None]] = {}  # the answers of the flagged rows kept
+    read: dict[int, dict[str, int | None]] = {}  # the answers read in the flagged rows kept
     position_of = dict(zip(map(line_of.__getitem__, flagged), flagged))
     for line_no in sorted([*position_of, *irregular]):
         position = position_of.get(line_no)
-        row = irregular[line_no] if position is None else [column[position] for column in cells]
-        for cell in row[named:width]:
-            if cell.strip():
-                raise ResponseError(f"a column without a name must be blank, found {cell!r}", row=line_no, column="")
-        if not row or all(not cell.strip() for cell in row):
-            if position is not None:
-                dropped.append(position)
-            continue  # ignore fully blank lines
-        if len(row) != width:
+        if position is None:
+            row = irregular[line_no]
+            for cell in row[named:width]:
+                if cell.strip():
+                    raise ResponseError(f"a column without a name must be blank, found {cell!r}", row=line_no, column="")
+            if not row or all(not cell.strip() for cell in row):
+                continue  # ignore fully blank lines
             raise ResponseError(f"expected {width} cells, found {len(row)}", row=line_no)
+        for column in cells[named:]:
+            if column[position].strip():
+                raise ResponseError(f"a column without a name must be blank, found {column[position]!r}", row=line_no, column="")
         participant_id = ids[position]
+        if not participant_id and not any(column[position].strip() for column in cells):
+            dropped.append(position)
+            continue  # ignore fully blank lines
         if not participant_id:
             raise ResponseError("empty participant_id", row=line_no, column="participant_id")
         if position == first_repeat:
             raise ResponseError(f"duplicate participant_id {participant_id!r}", row=line_no, column="participant_id")
 
-        answers, missing = _read_answers([row[column_of[question_id]] for question_id in question_ids], question_ids, max_code, line_no)
+        # Only the cells outside the code table are read; the row's other answers are valid codes, already in their columns.
+        unread_ids = unread_of.get(position, [])
+        answers, missing = _read_answers([cells[column_of[question_id]][position] for question_id in unread_ids], unread_ids, max_code, line_no)
         if missing:
             if policy is MissingPolicy.EXCLUDE_PARTICIPANT:
                 warnings.append(
@@ -323,7 +334,7 @@ def _columns(keys: Sequence) -> Callable[[Sequence | Mapping], tuple]:
 def _read_answers(
     cells: Sequence[str], question_ids: list[str], max_code: int, line_no: int
 ) -> tuple[dict[str, int | None], list[str]]:
-    """Read one row's answer cells one by one; None marks a blank cell until the policy resolves it."""
+    """Read answer cells of one row one by one, in questionnaire order; None marks a blank cell until the policy resolves it."""
     answers: dict[str, int | None] = {}
     missing: list[str] = []
     for question_id, cell in zip(question_ids, cells):

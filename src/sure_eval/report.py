@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain, count, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import itemgetter, mul
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -522,11 +523,7 @@ def _render_csv(report: ScoreReport) -> str:
     out.write("# participants\n")
     key_ids, sub_ids = _tree_ids(report.key_goals)
     writer.writerow(["participant_id", "overall", *key_ids, *sub_ids])
-    # Scores as their repr, which csv.writer writes for a float; sub-goal scores take few distinct values, so
-    # each is formatted once, through a cache that only floats may use: a hand-made score can be an int.
-    table, reprs = ScoreTable.of(report.participants, key_ids, sub_ids), _schema.Reprs()
-    sub_texts = [reprs.texts(column) if {*map(type, column)} <= {float} else map(repr, column) for column in table.sub_columns]
-    writer.writerows(zip(table.ids, table.overall, *table.key_columns, *sub_texts))
+    _write_participants(out, ScoreTable.of(report.participants, key_ids, sub_ids))
 
     if report.warnings:
         out.write("# warnings\n")
@@ -535,3 +532,35 @@ def _render_csv(report: ScoreReport) -> str:
             writer.writerow([warning])
 
     return out.getvalue()
+
+
+# The characters for which csv.writer may quote a cell, or (Python 3.10, for a NUL) refuse to write it: its
+# delimiter and quote character, and line breaks; Python 3.13 also quotes a lone "\r", earlier versions do not.
+_MAY_QUOTE = re.compile('[,"\r\n\0]')
+
+
+def _write_participants(out: io.StringIO, table: ScoreTable) -> None:
+    """Write the participants' rows as csv.writer would, filling one % template per row from one column of cell texts per slot.
+
+    A float score's text is its repr, through the json writer's repr cache.
+    Only the cells csv.writer might write otherwise take their text from it:
+    an id that is not a string or holds a character it may quote, and each
+    score of a column that is not all floats (a sub-goal score's repr, as the
+    writer has always written them; the overall and key-goal scores as they are).
+    """
+    ids = table.ids
+    id_texts = list(ids)
+    for i in compress(count(), map(_MAY_QUOTE.search, ids) if {*map(type, ids)} <= {str} else repeat(True, len(ids))):
+        id_texts[i] = _csv_cell(ids[i])
+    reprs = _schema.Reprs()
+    score_texts = [reprs.texts(column, _csv_cell) for column in table.columns[1 : 2 + len(table.key_ids)]]
+    score_texts += [reprs.texts(column, lambda value: _csv_cell(repr(value))) for column in table.sub_columns]
+    template = ",".join(["%s"] * (1 + len(score_texts))) + "\n"
+    out.writelines(_schema.batches(map(template.__mod__, zip(id_texts, *score_texts))))
+
+
+def _csv_cell(value: Any) -> str:
+    """The text csv.writer writes for value as one cell of a row of several."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((value, ""))
+    return out.getvalue()[:-2]

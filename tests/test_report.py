@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import replace
 
 import pytest
+from csv_reference import render_csv
 from hypothesis import given, strategies as st
 
 from sure_eval.errors import ReportError, SchemaError
@@ -12,7 +14,7 @@ from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_st
 from sure_eval.ingest import parse_responses
 from sure_eval.questionnaire import generate_template
 from sure_eval.report import Participation, ScoreReport, _histogram, _report_to_obj, build_report, parse_report, participation_rate, render_report
-from sure_eval.scoring import ParticipantScore, aggregate_scores, score_all
+from sure_eval.scoring import AggregateScores, ParticipantScore, ScoreTable, _tree_ids, aggregate_scores, score_all
 
 
 @pytest.fixture()
@@ -472,6 +474,50 @@ def test_csv_writes_an_int_score_without_changing_other_participants_floats(stru
     written = hand_made_lines[lines.index("# participants") + 2].split(",")
     values = (first.participant_id, first.overall, *first.key_goal_scores.values(), *sub_scores.values())
     assert written == [first.participant_id, *map(repr, values[1:])] and written[-20:-18] == ["0", "1"]
+
+
+# Text csv.writer quotes, or may (a lone CR from Python 3.13 on), next to text it writes as it is.
+_CSV_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\u2028", "\x0c", " ", "\t", "%s", "é", "字", "a"]), max_size=5).map("".join) | st.text(max_size=5)
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310]) | st.floats()
+_HAND_MADE = st.integers() | st.booleans() | st.none() | _CSV_TEXT
+
+
+@st.composite
+def csv_reports(draw):
+    """A report whose participants are a score table or hand-made scores: any ids, float columns, and columns holding other values."""
+    key_goals = tuple(
+        KeyGoal(f"K{k}", draw(_CSV_TEXT), tuple(SubGoal(f"S{k}{j}", draw(_CSV_TEXT), f"K{k}") for j in range(draw(st.integers(1, 3)))))
+        for k in range(draw(st.integers(1, 2)))
+    )
+    key_ids, sub_ids = _tree_ids(key_goals)
+    n = draw(st.integers(0, 6))
+    ids = draw(st.lists(_CSV_TEXT, min_size=n, max_size=n) | st.lists(_CSV_TEXT | st.integers() | st.none(), min_size=n, max_size=n))
+    columns = [draw(st.lists(_FLOATS, min_size=n, max_size=n) | st.lists(_FLOATS | _HAND_MADE, min_size=n, max_size=n)) for _ in range(1 + len(key_ids) + len(sub_ids))]
+    table = ScoreTable(key_ids, sub_ids, (tuple(ids), *map(tuple, columns)))
+    return ScoreReport(
+        title=draw(_CSV_TEXT),
+        version="1",
+        generated_at="",
+        aggregates=AggregateScores(0.5, dict.fromkeys(key_ids, 0.25), dict.fromkeys(sub_ids, -0.0), n, 0, 0),
+        key_goals=key_goals,
+        participants=table if draw(st.booleans()) else tuple(table),
+        histogram=(n,) + (0,) * 9,
+        participation=None,
+        groups=None,
+        warnings=tuple(draw(st.lists(_CSV_TEXT, max_size=2))),
+    )
+
+
+def _csv_or_error(render, report):
+    try:
+        return render(report)
+    except csv.Error as exc:  # Python 3.10's csv.writer refuses a NUL without an escape character
+        return repr(exc)
+
+
+@given(csv_reports())
+def test_csv_is_the_bytes_csv_writer_writes_row_by_row(report):
+    assert _csv_or_error(lambda each: render_report(each, "csv"), report) == _csv_or_error(render_csv, report)
 
 
 def test_groups_name_the_first_participant_without_a_score(scored, structure, responses):

@@ -191,6 +191,14 @@ def test_the_repr_cache_keeps_zeros_and_writes_a_negative_zero_as_one():
     assert dumps(records, [{"id": str, "score": float}]) == (json.dumps([{"id": f"P{i}", "score": x} for i, x in enumerate(column)], indent=2) + "\n").encode()
 
 
+def test_the_repr_cache_reads_only_a_column_of_floats():
+    # regression: 0 == 0.0 == False and 1 == 1.0 == True are one key, so an int or bool column in the cache wrote 0.0 as "0" and 1.0 as "True"
+    reprs = _schema.Reprs()
+    for column in ([0, 1, 0.0, 1.0, -0.0, True], [0, 1, 0.0, 1.0, True]):
+        assert list(reprs.texts(column)) == list(map(repr, column))
+    assert reprs == {}
+
+
 def test_a_negative_zero_is_found_only_where_a_value_starts():
     # on a little-endian host, 0.0 then this float hold the bytes of -0.0 one byte off a value's start
     straddling = struct.unpack("<d", b"\x80" + bytes(5) + b"\xe0\x3f")[0]
