@@ -553,7 +553,7 @@ def _write_participants(out: io.StringIO, table: ScoreTable) -> None:
     for i in compress(count(), map(_MAY_QUOTE.search, ids) if {*map(type, ids)} <= {str} else repeat(True, len(ids))):
         id_texts[i] = _csv_cell(ids[i])
     reprs = _schema.Reprs()
-    score_texts = [reprs.texts(column, _csv_cell) for column in table.columns[1 : 2 + len(table.key_ids)]]
+    score_texts = [reprs.texts(column, _csv_cell) for column in (table.overall, *table.key_columns)]
     score_texts += [reprs.texts(column, lambda value: _csv_cell(repr(value))) for column in table.sub_columns]
     template = ",".join(["%s"] * (1 + len(score_texts))) + "\n"
     out.writelines(_schema.batches(map(template.__mod__, zip(id_texts, *score_texts))))
