@@ -8,8 +8,8 @@ map; ``Nullable(shape)`` for ``null`` or ``shape``; a tuple of strings
 for one of those strings.
 
 ``check(value, shape)`` names the JSON path of the first part of a
-document that does not fit its shape. One fit test decides what a shape
-admits: it takes a list of values apart into leaf columns, one C-level pass
+document that does not fit its shape; ``fits(value, shape)`` only tells
+whether it fits. One fit test decides what a shape admits: it takes a list of values apart into leaf columns, one C-level pass
 each. Only a document that does not fit is walked, with the same test on
 slices of its arrays and maps (bisection) and on its fields in turn, to name
 the first misfit and word its problem.
@@ -17,10 +17,10 @@ the first misfit and word its problem.
 ``dumps(value, shape)`` checks a value against the same shape and then
 writes it, in the shape's field order with two-space indentation, so the
 reader accepts the layout of every document the writer writes. A record
-whose fields are leaves, or records of such fields, compiles into one ``%``
-template with a slot per leaf; an array or map of such records fills it once
-per element, from one column of texts per leaf. An array of such records may
-also be given as ``Columns``, its leaf columns themselves, which is checked
+whose fields are leaves, or records of such fields, compiles into the literal
+texts around one slot per leaf; an array or map of such records joins them
+once per element with one column of texts per leaf. An array of such records
+may also be given as ``Columns``, its leaf columns themselves, which is checked
 and written column by column without a record per element. Floats are
 formatted through one repr cache per call, because scores repeat.
 """
@@ -49,7 +49,7 @@ class Nullable(NamedTuple):
 
 
 class Columns:
-    """An array of records whose fields are leaves or records of leaves, given as one column of leaf values per slot of their template (the leaves in shape order, records flattened), all of one length.
+    """An array of records whose fields are leaves or records of leaves, given as one column of leaf values per slot of their text (the leaves in shape order, records flattened), all of one length.
 
     It stands for the array in a value given to check or dumps, where the
     shape has ``[record]``. Indexing gives one element's leaf values,
@@ -77,6 +77,7 @@ class _NonFinite(str):
 
 
 def load_json(document: bytes | str, what: str = "document") -> Any:
+    """document loaded as JSON; not UTF-8, not JSON, or an object that repeats a name is a SchemaError."""
     if isinstance(document, bytes):
         try:
             document = document.decode("utf-8")
@@ -100,10 +101,48 @@ def _object(what: str, pairs: list[tuple[str, Any]]) -> dict:
     return value
 
 
+def load_plain(document: bytes | str) -> tuple[Any, int] | None:
+    """document loaded without load_json's repeated-name hook, a Python call per object, and the number of ":" in its text; None for a document that load_json must read: one that is not UTF-8 or not JSON, or holds a \\u escape.
+
+    Without a \\u escape, each ":" of the text either separates the name and
+    value of one object member or is a character of a name or string, so the
+    count equals colons(value) exactly when no object repeats a name: a
+    repeated name drops a member, and its colons, from the loaded value.
+    The decoded text is dropped on return, before any check of the value.
+    """
+    try:
+        text = document.decode("utf-8") if isinstance(document, bytes) else document
+    except UnicodeDecodeError:
+        return None
+    if "\\u" in text:
+        return None
+    try:
+        return json.loads(text, parse_constant=_NonFinite), text.count(":")
+    except json.JSONDecodeError:
+        return None
+
+
+def colons(value: Any) -> int:
+    """The members of every object in a loaded value plus the ":" characters of every name and string in it."""
+    kind = type(value)
+    if kind is str:
+        return value.count(":")
+    if kind is list:
+        return sum(map(colons, value))
+    if kind is dict:
+        return len(value) + sum(map(colons, value)) + sum(map(colons, value.values()))
+    return 0
+
+
 def check(value: Any, shape: Any) -> None:
     """Raise SchemaError, naming the JSON path ("$.a[2].b"), at the first part of value that does not match shape."""
-    if not _all_fit([value], shape):
+    if not fits(value, shape):
         raise SchemaError(_misfit(value, shape, "$"))
+
+
+def fits(value: Any, shape: Any) -> bool:
+    """Whether value matches shape, without naming what does not."""
+    return _all_fit([value], shape)
 
 
 _EXPECTED = {str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"}
@@ -183,7 +222,7 @@ def _first_misfit(n: int, fits: Callable[[int, int], bool]) -> int:
 
 
 def _leaves(shape: Any) -> list:
-    """The leaf shapes of a record of leaves and such records, in template slot order; a leaf's own shape for a leaf."""
+    """The leaf shapes of a record of leaves and such records, in slot order; a leaf's own shape for a leaf."""
     return [leaf for field in shape.values() for leaf in _leaves(field)] if type(shape) is dict else [shape]
 
 
@@ -298,7 +337,7 @@ def _writer(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterable[str]
 
 
 def _joined_each(write: Callable[[Any], Iterable[str]], values: Iterable) -> Iterator[str]:
-    """The text of each of values, joined from the pieces write gives: the elements of a container that no template writes."""
+    """The text of each of values, joined from the pieces write gives: the elements of a container that no slots write."""
     return map("".join, map(write, values))
 
 
@@ -308,44 +347,55 @@ _LEAF_TEXTS = {str: encode_basestring, int: int.__repr__}
 def _texts(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterator[str]] | None:
     """For a leaf, or a record whose fields are leaves or such records, a function giving the text of each of a sequence of checked values, or of Columns; None for any other shape.
 
-    A record's texts fill one template, one slot per leaf, from one column of
-    leaf texts per slot: one template fill per value, and no Python-level call
-    but for the repr cache's misses.
+    A record's text joins its literal parts with one column of leaf texts
+    per slot (filled): one join per value, and no Python-level call but for
+    the repr cache's misses.
     """
-    template = _template(shape, pad)
-    if template is None:
+    parts = _parts(shape, pad)
+    if parts is None:
         return None
     writers = [reprs.texts if leaf is float else partial(map, _LEAF_TEXTS.get(leaf, encode_basestring)) for leaf in _leaves(shape)]
 
     def texts(values: Any) -> Iterator[str]:
         columns = values.leaves if type(values) is Columns else _leaf_columns(shape, list(values))
         text_columns = [write(column) for write, column in zip(writers, columns)]
-        if template == "%s":
+        if parts is _LEAF_PARTS:
             return text_columns[0]
-        return map(template.__mod__, zip(*text_columns) if text_columns else repeat((), len(values)))
+        return filled(parts, text_columns) if text_columns else repeat(parts[0], len(values))
 
     return texts
 
 
-def _template(shape: Any, pad: str) -> str | None:
-    """The % template of a leaf or of a record of leaves and such records, one %s slot per leaf; None for any other shape."""
+_LEAF_PARTS = ("", "")
+
+
+def _parts(shape: Any, pad: str) -> Sequence[str] | None:
+    """The literal texts before, between and after the slots of a leaf or of a record of leaves and such records, one slot per leaf; None for any other shape."""
     kind = type(shape)
     if kind is type or kind is tuple:
-        return "%s"
+        return _LEAF_PARTS
     if kind is not dict or str in shape:
         return None
     inner = pad + "  "
-    parts = []
-    for name, field in shape.items():
-        template = _template(field, inner)
-        if template is None:
+    parts = ["{"]
+    for i, (name, field) in enumerate(shape.items()):
+        field_parts = _parts(field, inner)
+        if field_parts is None:
             return None
-        parts.append(inner + encode_basestring(name).replace("%", "%%") + ": " + template)
-    return "{" + ",".join(parts) + pad + "}" if parts else "{}"
+        parts[-1] += ("," if i else "") + inner + encode_basestring(name) + ": " + field_parts[0]
+        parts += field_parts[1:]
+    parts[-1] += pad + "}" if shape else "}"
+    return parts
+
+
+def filled(parts: Sequence[str], columns: Sequence[Iterable[str]]) -> Iterator[str]:
+    """parts[0] + columns[0][i] + parts[1] + ... + columns[-1][i] + parts[-1] for each i, by one join per i."""
+    pieces = [piece for part, column in zip(parts, columns) for piece in ((repeat(part), column) if part else (column,))]
+    return map("".join, zip(*pieces, repeat(parts[-1])))
 
 
 def _leaf_columns(shape: Any, values: list) -> list[list]:
-    """The columns of leaf values, in template slot order, of a list of values of a leaf or record shape."""
+    """The columns of leaf values, in slot order, of a list of values of a leaf or record shape."""
     if type(shape) is not dict:
         return [values]
     return [column for name, field in shape.items() for column in _leaf_columns(field, list(map(itemgetter(name), values)))]

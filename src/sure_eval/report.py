@@ -367,9 +367,18 @@ def parse_report(document: bytes | str) -> ScoreReport:
     Accepts only what render_report writes: the layout of REPORT_SHAPE, finite
     numbers, and figures that agree with each other. A rejection is a
     SchemaError naming the JSON path at fault.
+
+    C-level passes (_read) accept a document; one they do not accept is read
+    again with load_json's repeated-name hook and the checks that name a
+    fault, so each rejection keeps its text and the order of the checks.
     """
-    data = _schema.load_json(document, "report")
-    _schema.check(data, REPORT_SHAPE)
+    read = _read(document)
+    if read is None:
+        data = _schema.load_json(document, "report")
+        _schema.check(data, REPORT_SHAPE)
+        columns = None
+    else:
+        data, columns = read
     distribution, groups, participants = data["distribution"], data["groups"], data["participants"]
     structure = GoalStructure(title=data["title"], version=data["version"], key_goals=key_goals_from_obj(data["key_goals"]))
     for violation in validate_structure(structure)[:1]:
@@ -377,9 +386,10 @@ def parse_report(document: bytes | str) -> ScoreReport:
     if not participants:
         raise SchemaError("$.participants: a report has at least one participant")
     key_ids, sub_ids = _tree_ids(structure.key_goals)
-    overall = tuple(map(itemgetter("overall"), participants))
-    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-    columns = _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
+    if columns is None:
+        overall = tuple(map(itemgetter("overall"), participants))
+        key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
+        columns = (tuple(map(itemgetter("id"), participants)), *_check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids))
     report = ScoreReport(
         title=structure.title,
         version=structure.version,
@@ -393,7 +403,7 @@ def parse_report(document: bytes | str) -> ScoreReport:
             n_overall_zero=distribution["n_zero"],
         ),
         key_goals=structure.key_goals,
-        participants=ScoreTable(key_ids, sub_ids, (tuple(map(itemgetter("id"), participants)), *columns)),
+        participants=ScoreTable(key_ids, sub_ids, columns),
         histogram=tuple(distribution["histogram"]),
         participation=None if data["participation"] is None else Participation(**data["participation"]),
         groups=None if groups is None else {
@@ -406,17 +416,58 @@ def parse_report(document: bytes | str) -> ScoreReport:
     return report
 
 
-def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]]:
-    """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; one C-level pass over all rows finds whether there is one.
+_RECORD_FIELDS = ("id", "overall", "key_goals", "sub_goals")
 
-    Return the rows as columns: the scores, each key goal's, each sub goal's,
-    sliced from the one list of every value that the range check reads.
+
+def _read(document: bytes | str) -> tuple[dict, tuple[tuple, ...]] | None:
+    """The loaded report and its participants' columns (ids, overall, each key goal's, each sub goal's), if C-level passes find no fault; None if they find one, or cannot tell.
+
+    They find that no object repeats a name (by _schema.load_plain's count of
+    colons), that the document fits REPORT_SHAPE, that each participant record
+    has its fields in the written order and score maps of the tree's ids, in
+    order, and that every score is in [0, 1]. The participants are not walked
+    one by one: one list of every score serves the checks and the columns,
+    and their colons are counted by arithmetic on the tree's and their ids.
     """
+    loaded = _schema.load_plain(document)
+    if loaded is None:
+        return None
+    data, n_colons = loaded
+    participants = data.get("participants") if type(data) is dict else None
+    if type(participants) is not list or not participants:
+        return None
+    rest = {**data, "participants": []}
+    if not _schema.fits(rest, REPORT_SHAPE) or {*map(type, participants)} != {dict} or not all(map(_RECORD_FIELDS.__eq__, map(tuple, participants))):
+        return None
+    key_ids = tuple(map(itemgetter("id"), data["key_goals"]))
+    sub_ids = tuple(sub["id"] for key in data["key_goals"] for sub in key["sub_goals"])
+    ids = tuple(map(itemgetter("id"), participants))
+    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
+    if not {*map(type, ids)} <= {str} or {*map(type, key_maps), *map(type, sub_maps)} != {dict}:
+        return None
+    columns = _score_columns(tuple(map(itemgetter("overall"), participants)), key_maps, sub_maps, key_ids, sub_ids)
+    n = len(participants)
+    members = n * (len(_RECORD_FIELDS) + len(key_ids) + len(sub_ids))
+    if columns is None or n_colons != _schema.colons(rest) + members + n * "".join(key_ids + sub_ids).count(":") + "".join(ids).count(":"):
+        return None
+    return data, (ids, *columns)
+
+
+def _score_columns(scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]] | None:
+    """Rows of (score, key scores, sub scores) as columns, the scores, each key goal's and each sub goal's, sliced from one list of every value; None unless every map holds the tree's ids in order and every value is a float in [0, 1]."""
     values = list(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))
     ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
-    if ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
-        n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
-        return [tuple(scores), *(tuple(values[n + j : subs_from : n_keys]) for j in range(n_keys)), *(tuple(values[subs_from + j :: len(sub_ids)]) for j in range(len(sub_ids)))]
+    if not (ids_fit and {*map(type, values)} <= {float} and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0):
+        return None
+    n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
+    return [tuple(scores), *(tuple(values[n + j : subs_from : n_keys]) for j in range(n_keys)), *(tuple(values[subs_from + j :: len(sub_ids)]) for j in range(len(sub_ids)))]
+
+
+def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]]:
+    """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; else return _score_columns' columns, whose passes find whether there is one."""
+    columns = _score_columns(scores, key_maps, sub_maps, key_ids, sub_ids)
+    if columns is not None:
+        return columns
     for path, score, key_scores, sub_scores in zip(paths, scores, key_maps, sub_maps):
         for name, by_id, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
             if tuple(by_id) != ids:
@@ -540,7 +591,7 @@ _MAY_QUOTE = re.compile('[,"\r\n\0]')
 
 
 def _write_participants(out: io.StringIO, table: ScoreTable) -> None:
-    """Write the participants' rows as csv.writer would, filling one % template per row from one column of cell texts per slot.
+    """Write the participants' rows as csv.writer would, each joined from one column of cell texts per slot, commas between them and a line end.
 
     A float score's text is its repr, through the json writer's repr cache.
     Only the cells csv.writer might write otherwise take their text from it:
@@ -555,8 +606,8 @@ def _write_participants(out: io.StringIO, table: ScoreTable) -> None:
     reprs = _schema.Reprs()
     score_texts = [reprs.texts(column, _csv_cell) for column in (table.overall, *table.key_columns)]
     score_texts += [reprs.texts(column, lambda value: _csv_cell(repr(value))) for column in table.sub_columns]
-    template = ",".join(["%s"] * (1 + len(score_texts))) + "\n"
-    out.writelines(_schema.batches(map(template.__mod__, zip(id_texts, *score_texts))))
+    parts = ["", *repeat(",", len(score_texts)), "\n"]
+    out.writelines(_schema.batches(_schema.filled(parts, [id_texts, *score_texts])))
 
 
 def _csv_cell(value: Any) -> str:

@@ -17,10 +17,10 @@ order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import add, mul, not_, sub, truediv
 from typing import Iterable, Iterator, Mapping
 
@@ -214,9 +214,8 @@ def _raise_bad_answer(table: ParticipantTable, unit: dict[int, float]) -> None:
 def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructure) -> AggregateScores:
     """Arithmetic means over a score table, or any sequence of scores, in its order.
 
-    reduce(add, column, 0.0) sums each column left to right; sum()
-    compensates rounding on Python 3.12+, so results would differ between
-    versions.
+    Each column is summed left to right from 0.0 (_total); sum() compensates
+    rounding on Python 3.12+, so results would differ between versions.
 
     Extreme counts use exact comparison: the scoring rules produce exactly
     1.0 for all-top answers and exactly 0.0 for a fully failed key goal, so
@@ -227,7 +226,7 @@ def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructur
     key_ids, sub_ids = _tree_ids(structure.key_goals)
     table = ScoreTable.of(scores, key_ids, sub_ids)
     n = len(table)
-    general, *means = [reduce(add, column, 0.0) / n for column in table.columns[1:]]
+    general, *means = [_total(column) / n for column in table.columns[1:]]
     return AggregateScores(
         general=general,
         key_goal=dict(zip(key_ids, means)),
@@ -236,6 +235,11 @@ def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructur
         n_overall_max=table.overall.count(1.0),
         n_overall_zero=table.overall.count(0.0),
     )
+
+
+def _total(column: Iterable[float]) -> float:
+    """The sum of column, added left to right from 0.0: the adds of reduce(add, column, 0.0), run by accumulate, which keeps only the last."""
+    return deque(accumulate(column, initial=0.0), maxlen=1)[0]
 
 
 def _tree_ids(key_goals: Sequence[KeyGoal]) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -16,6 +16,7 @@ from sure_eval.report import RENDER_FORMATS, build_report, parse_report, render_
 from sure_eval.scoring import (
     ParticipantScore,
     ScoreTable,
+    _total,
     aggregate_scores,
     key_goal_score,
     participant_score,
@@ -288,6 +289,28 @@ def test_aggregate_means_are_left_to_right_column_sums(shape, pool, n):
     assert agg.key_goal == {k: reduce(add, (s.key_goal_scores[k] for s in scores), 0.0) / n for k in key_ids}
     assert agg.sub_goal == {s_id: reduce(add, (s.sub_goal_scores[s_id] for s in scores), 0.0) / n for s_id in sub_ids}
     assert list(agg.key_goal) == key_ids and list(agg.sub_goal) == sub_ids
+
+
+# Terms whose sums tell an add from a compensated or reordered one: signed zeros, subnormals, and any float.
+SUM_TERMS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.1]) | st.floats()
+
+
+@given(st.lists(SUM_TERMS, max_size=40))
+def test_the_column_total_is_reduce_add_bit_for_bit(terms):
+    assert float.hex(_total(terms)) == float.hex(reduce(add, terms, 0.0))
+    assert float.hex(_total(tuple(terms))) == float.hex(reduce(add, terms, 0.0))
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+def test_a_score_tables_means_are_reduce_add_bit_for_bit(shape, data):
+    gs = make_structure(shape)
+    key_ids, sub_ids = tuple(kg.id for kg in gs.key_goals), tuple(gs.sub_goal_ids())
+    n = data.draw(st.integers(1, 8))
+    columns = [tuple(data.draw(st.lists(SUM_TERMS, min_size=n, max_size=n))) for _ in range(1 + len(key_ids) + len(sub_ids))]
+    table = ScoreTable(key_ids, sub_ids, (tuple(f"P{i}" for i in range(n)), *columns))
+    agg = aggregate_scores(table, gs)
+    means = [agg.general, *agg.key_goal.values(), *agg.sub_goal.values()]
+    assert list(map(float.hex, means)) == [float.hex(reduce(add, column, 0.0) / n) for column in columns]
 
 
 # --- the score table -----------------------------------------------------------
