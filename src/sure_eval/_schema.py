@@ -102,7 +102,7 @@ def _object(what: str, pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_plain(document: bytes | str) -> tuple[Any, int] | None:
-    """document loaded without load_json's repeated-name hook, a Python call per object, and the number of ":" in its text; None for a document that load_json must read: one that is not UTF-8 or not JSON, or holds a \\u escape.
+    """document loaded without load_json's repeated-name hook, a Python call per object, and the number of ":" in its text; None for a document that load_json must read: one that is not a str or UTF-8 bytes, not JSON, or holds a \\u escape.
 
     Without a \\u escape, each ":" of the text either separates the name and
     value of one object member or is a character of a name or string, so the
@@ -110,14 +110,15 @@ def load_plain(document: bytes | str) -> tuple[Any, int] | None:
     repeated name drops a member, and its colons, from the loaded value.
     The decoded text is dropped on return, before any check of the value.
     """
-    try:
-        text = document.decode("utf-8") if isinstance(document, bytes) else document
-    except UnicodeDecodeError:
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if not isinstance(document, str) or "\\u" in document:  # a bytearray, say, is load_json's to read
         return None
-    if "\\u" in text:
-        return None
     try:
-        return json.loads(text, parse_constant=_NonFinite), text.count(":")
+        return json.loads(document, parse_constant=_NonFinite), document.count(":")
     except json.JSONDecodeError:
         return None
 

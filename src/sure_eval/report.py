@@ -416,7 +416,7 @@ def parse_report(document: bytes | str) -> ScoreReport:
     return report
 
 
-_RECORD_FIELDS = ("id", "overall", "key_goals", "sub_goals")
+_RECORD_FIELDS = tuple(REPORT_SHAPE["participants"][0])
 
 
 def _read(document: bytes | str) -> tuple[dict, tuple[tuple, ...]] | None:

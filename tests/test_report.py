@@ -504,7 +504,7 @@ def test_parse_report_accepts_and_words_what_the_hooked_reader_did(report, data)
     if data.draw(st.booleans()):  # as many \u003a in the title as the colons that repeated names drop: the text then has as many colons as the loaded value
         text = text.replace('"title": "', '"title": "' + "\\u003a" * (text.count(":") - _colons(json.loads(text))), 1)
     text = text.replace('": ', '"' + data.draw(st.sampled_from([": ", ":", " : ", "\n:\n"])))
-    document = text.encode() if data.draw(st.booleans()) else text
+    document = data.draw(st.sampled_from([str, str.encode, lambda text: bytearray(text.encode())]))(text)
     assert _read_or_error(parse_report, document) == _read_or_error(report_reference.parse_report, document)
 
 
