@@ -115,7 +115,7 @@ def load_plain(document: bytes | str) -> tuple[Any, int] | None:
             document = document.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    if not isinstance(document, str) or "\\u" in document:  # a bytearray, say, is load_json's to read
+    if not isinstance(document, str) or ("\\" in document and "\\u" in document):  # a bytearray, say, is load_json's to read; one character is found many times faster than two
         return None
     try:
         return json.loads(document, parse_constant=_NonFinite), document.count(":")

@@ -426,7 +426,7 @@ def _read(document: bytes | str) -> tuple[dict, tuple[tuple, ...]] | None:
     colons), that the document fits REPORT_SHAPE, that each participant record
     has its fields in the written order and score maps of the tree's ids, in
     order, and that every score is in [0, 1]. The participants are not walked
-    one by one: one list of every score serves the checks and the columns,
+    one by one: one tuple of every score serves the checks and the columns,
     and their colons are counted by arithmetic on the tree's and their ids.
     """
     loaded = _schema.load_plain(document)
@@ -454,13 +454,13 @@ def _read(document: bytes | str) -> tuple[dict, tuple[tuple, ...]] | None:
 
 
 def _score_columns(scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]] | None:
-    """Rows of (score, key scores, sub scores) as columns, the scores, each key goal's and each sub goal's, sliced from one list of every value; None unless every map holds the tree's ids in order and every value is a float in [0, 1]."""
-    values = list(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))
+    """Rows of (score, key scores, sub scores) as columns, the scores, each key goal's and each sub goal's, sliced from one tuple of every value; None unless every map holds the tree's ids in order and every value is a float in [0, 1]."""
+    values = tuple(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))  # a tuple, so that each column is one slice
     ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
     if not (ids_fit and {*map(type, values)} <= {float} and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0):
         return None
     n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
-    return [tuple(scores), *(tuple(values[n + j : subs_from : n_keys]) for j in range(n_keys)), *(tuple(values[subs_from + j :: len(sub_ids)]) for j in range(len(sub_ids)))]
+    return [values[:n], *(values[n + j : subs_from : n_keys] for j in range(n_keys)), *(values[subs_from + j :: len(sub_ids)] for j in range(len(sub_ids)))]
 
 
 def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]]:

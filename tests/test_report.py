@@ -444,9 +444,8 @@ def _score_maps(doc):
 
 
 def _repeat_a_name(doc, draw):
-    where = draw(st.sampled_from(["top level", "participant record", "score map", "group"]))
-    objects = [doc] if where == "top level" else _records(doc) if where == "participant record" else _score_maps(doc) if where == "score map" else _group_objects(doc)
-    members = draw(st.sampled_from(objects)) if objects else _Members()
+    objects = draw(st.sampled_from([lambda doc: [doc], _records, _score_maps, _group_objects]))(doc)
+    members = draw(st.sampled_from(objects))
     if members:  # the same member again, after it: the loaded value is the document's without the repeat, its names in their order
         i = draw(st.integers(0, len(members) - 1))
         members.insert(draw(st.integers(i + 1, len(members))), members[i])
