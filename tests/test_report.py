@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 import report_reference
 from csv_reference import render_csv
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from sure_eval.errors import ReportError, SchemaError
 from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
@@ -396,6 +396,13 @@ def test_parse_report_rejects_a_repeated_name(report_doc):
         parse_report(text)
 
 
+def test_parse_report_rejects_a_repeated_name_whose_colon_an_escape_makes_up(report_doc):
+    # The repeat drops one ":" from the loaded value and the escaped one adds one, so the counts agree: only the \u check leaves this to the hooked reader.
+    text = json.dumps(report_doc, indent=2).replace('"A11": 1.0,', '"A11": 1.0, "A11": 1.0,', 1).replace('"title": "', '"title": "\\u003a', 1)
+    with pytest.raises(SchemaError, match=r"^report repeats the name 'A11' in one object$"):
+        parse_report(text)
+
+
 def test_parse_report_requires_aggregates_bit_for_bit(report_doc):
     report_doc["general"] = math.nextafter(report_doc["general"], 0.0)
     with pytest.raises(SchemaError, match=r"^\$\.general: .* does not match the participants"):
@@ -491,7 +498,6 @@ def _read_or_error(parse, document):
     return report, render_report(report, "json")
 
 
-@settings(max_examples=200)  # at 100, a reader without the \u guard passed in 2 of 10 seeds
 @given(reports(), st.data())
 def test_parse_report_accepts_and_words_what_the_hooked_reader_did(report, data):
     """Repeated names, reordered fields and maps, odd scores, colons and \\u escapes in strings, spaces around ":"."""
