@@ -154,7 +154,7 @@ def _all_fit(values: list, shape: Any) -> bool:
     """Whether every one of a list of values fits shape, by C-level passes over its leaf columns: the one rule of what a shape admits."""
     kind = type(shape)
     if kind is type:
-        return {*map(type, values)} <= {shape} and (shape is not float or all(map(isfinite, values)))
+        return {*map(type, values)} <= {shape} and (shape is not float or isfinite(sum(values)) or all(map(isfinite, values)))  # a sum of floats is finite only if each one is, and takes one C-level add per value
     if kind is tuple:
         return all(map(shape.__contains__, values))
     if kind is Nullable:

@@ -416,48 +416,40 @@ def parse_report(document: bytes | str) -> ScoreReport:
     return report
 
 
-_RECORD_FIELDS = tuple(REPORT_SHAPE["participants"][0])
-
-
 def _read(document: bytes | str) -> tuple[dict, tuple[tuple, ...]] | None:
     """The loaded report and its participants' columns (ids, overall, each key goal's, each sub goal's), if C-level passes find no fault; None if they find one, or cannot tell.
 
     They find that no object repeats a name (by _schema.load_plain's count of
-    colons), that the document fits REPORT_SHAPE, that each participant record
-    has its fields in the written order and score maps of the tree's ids, in
-    order, and that every score is in [0, 1]. The participants are not walked
-    one by one: one tuple of every score serves the checks and the columns,
-    and their colons are counted by arithmetic on the tree's and their ids.
+    colons), that the document fits REPORT_SHAPE, that every score map holds
+    the tree's ids in order and that every score is in [0, 1]. The
+    participants are not walked one by one: one tuple of every score serves
+    the checks and the columns, and their colons are counted by arithmetic on
+    the tree's and their ids.
     """
     loaded = _schema.load_plain(document)
     if loaded is None:
         return None
     data, n_colons = loaded
-    participants = data.get("participants") if type(data) is dict else None
-    if type(participants) is not list or not participants:
+    if not (_schema.fits(data, REPORT_SHAPE) and data["participants"]):
         return None
-    rest = {**data, "participants": []}
-    if not _schema.fits(rest, REPORT_SHAPE) or {*map(type, participants)} != {dict} or not all(map(_RECORD_FIELDS.__eq__, map(tuple, participants))):
-        return None
+    participants = data["participants"]
     key_ids = tuple(map(itemgetter("id"), data["key_goals"]))
     sub_ids = tuple(sub["id"] for key in data["key_goals"] for sub in key["sub_goals"])
     ids = tuple(map(itemgetter("id"), participants))
     key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-    if not {*map(type, ids)} <= {str} or {*map(type, key_maps), *map(type, sub_maps)} != {dict}:
-        return None
     columns = _score_columns(tuple(map(itemgetter("overall"), participants)), key_maps, sub_maps, key_ids, sub_ids)
     n = len(participants)
-    members = n * (len(_RECORD_FIELDS) + len(key_ids) + len(sub_ids))
-    if columns is None or n_colons != _schema.colons(rest) + members + n * "".join(key_ids + sub_ids).count(":") + "".join(ids).count(":"):
+    members = n * (len(REPORT_SHAPE["participants"][0]) + len(key_ids) + len(sub_ids))
+    if columns is None or n_colons != _schema.colons({**data, "participants": []}) + members + n * "".join(key_ids + sub_ids).count(":") + "".join(ids).count(":"):
         return None
     return data, (ids, *columns)
 
 
 def _score_columns(scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]] | None:
-    """Rows of (score, key scores, sub scores) as columns, the scores, each key goal's and each sub goal's, sliced from one tuple of every value; None unless every map holds the tree's ids in order and every value is a float in [0, 1]."""
+    """Rows of (score, key scores, sub scores), whose values fit the report's shape, as columns: the scores, each key goal's and each sub goal's, sliced from one tuple of every value; None unless every map holds the tree's ids in order and every value is in [0, 1]."""
     values = tuple(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))  # a tuple, so that each column is one slice
     ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
-    if not (ids_fit and {*map(type, values)} <= {float} and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0):
+    if not (ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0):
         return None
     n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
     return [values[:n], *(values[n + j : subs_from : n_keys] for j in range(n_keys)), *(values[subs_from + j :: len(sub_ids)] for j in range(len(sub_ids)))]
