@@ -513,6 +513,16 @@ def test_parse_report_accepts_and_words_what_the_hooked_reader_did(report, data)
     assert _read_or_error(parse_report, document) == _read_or_error(report_reference.parse_report, document)
 
 
+@given(reports(), st.data())
+def test_parse_report_words_one_repeated_name_or_moved_map_id(report, data):
+    """One name repeated after its original, with as many \\u003a in the title as the colons the repeat drops (the counts then agree, so only the \\u check leaves the document to the hooked reader), or one score map's ids out of order."""
+    doc = json.loads(render_report(report, "json"), object_pairs_hook=_Members)
+    data.draw(st.sampled_from([_repeat_a_name, _move_a_member(_score_maps)]))(doc, data.draw)
+    text = _encode(doc)
+    text = text.replace('"title": "', '"title": "' + "\\u003a" * (text.count(":") - _colons(json.loads(text))), 1)
+    assert _read_or_error(parse_report, text) == _read_or_error(report_reference.parse_report, text)
+
+
 # --- one key goal with one sub goal: every per-id column is a single one -----
 
 

@@ -207,6 +207,11 @@ def test_a_negative_zero_is_found_only_where_a_value_starts():
     assert _schema._has_negative_zero((0.5, "not a number"))
 
 
+def test_finite_floats_fit_when_their_sum_overflows():
+    assert _schema.fits([1e308, 1e308], [float]) and _schema.fits([-1e308, -1e308], [float])
+    assert not _schema.fits([1e308, 1e308, float("-inf")], [float]) and not _schema.fits([float("inf"), float("-inf")], [float])
+
+
 @pytest.mark.parametrize(
     "value, shape, message",
     [
