@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, compress, count, groupby, repeat
+from math import isfinite
 from operator import itemgetter, mul
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -87,10 +88,15 @@ def build_report(
     with unequal group sizes).
 
     A ScoreTable is kept as the report's participants; any other sequence of
-    scores is kept as a tuple, as it was given.
+    scores is kept as a tuple, as it was given. An overall score outside
+    [0, 1], NaN included, is a ReportError naming its participant.
     """
     if not isinstance(scores, ScoreTable):
         scores = tuple(scores)
+    overall = scores.overall if isinstance(scores, ScoreTable) else [score.overall for score in scores]
+    if not (0.0 <= min(overall, default=0.0) and max(overall, default=0.0) <= 1.0 and isfinite(sum(overall))):  # a NaN makes the sum NaN
+        at = next(i for i, value in enumerate(overall) if not 0.0 <= value <= 1.0)
+        raise ReportError(f"participant {scores[at].participant_id!r} has overall score {overall[at]!r}, outside [0, 1]")
 
     participation_record = None
     if participation is not None:
@@ -129,7 +135,7 @@ def build_report(
         aggregates=aggregates,
         key_goals=structure.key_goals,
         participants=scores,
-        histogram=_histogram(scores.overall if isinstance(scores, ScoreTable) else [score.overall for score in scores]),
+        histogram=_histogram(overall),
         participation=participation_record,
         groups=groups,
         warnings=tuple(responses.warnings),
@@ -366,19 +372,31 @@ def parse_report(document: bytes | str) -> ScoreReport:
 
     Accepts only what render_report writes: the layout of REPORT_SHAPE, finite
     numbers, and figures that agree with each other. A rejection is a
-    SchemaError naming the JSON path at fault.
+    SchemaError naming the JSON path at fault; an object that repeats a name
+    is named before any other fault.
 
-    C-level passes (_read) accept a document; one they do not accept is read
-    again with load_json's repeated-name hook and the checks that name a
-    fault, so each rejection keeps its text and the order of the checks.
+    A document that _schema.load_plain reads is checked as it loaded, without
+    load_json's repeated-name hook. It is loaded again with the hook only to
+    find a repeated name: when a check rejects it, or when its text holds
+    more ":" than the accepted report's value, which only a repeated name makes.
     """
-    read = _read(document)
-    if read is None:
-        data = _schema.load_json(document, "report")
-        _schema.check(data, REPORT_SHAPE)
-        columns = None
-    else:
-        data, columns = read
+    loaded = _schema.load_plain(document)
+    if loaded is None:
+        return _checked_report(_schema.load_json(document, "report"))
+    data, n_colons = loaded
+    try:
+        report = _checked_report(data)
+    except SchemaError:
+        _schema.load_json(document, "report")  # raises first if an object repeats a name
+        raise
+    if n_colons != _colons(data, report.participants):
+        _schema.load_json(document, "report")  # raises: a repeated name dropped a member, and its colons, from data
+    return report
+
+
+def _checked_report(data: Any) -> ScoreReport:
+    """The report a loaded document holds; a SchemaError names the first fault of its shape, its tree, its participants (at least one, with the tree's ids in order and scores in [0, 1]) or its figures, checked in that order."""
+    _schema.check(data, REPORT_SHAPE)
     distribution, groups, participants = data["distribution"], data["groups"], data["participants"]
     structure = GoalStructure(title=data["title"], version=data["version"], key_goals=key_goals_from_obj(data["key_goals"]))
     for violation in validate_structure(structure)[:1]:
@@ -386,10 +404,9 @@ def parse_report(document: bytes | str) -> ScoreReport:
     if not participants:
         raise SchemaError("$.participants: a report has at least one participant")
     key_ids, sub_ids = _tree_ids(structure.key_goals)
-    if columns is None:
-        overall = tuple(map(itemgetter("overall"), participants))
-        key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-        columns = (tuple(map(itemgetter("id"), participants)), *_check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids))
+    overall = tuple(map(itemgetter("overall"), participants))
+    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
+    columns = _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
     report = ScoreReport(
         title=structure.title,
         version=structure.version,
@@ -403,7 +420,7 @@ def parse_report(document: bytes | str) -> ScoreReport:
             n_overall_zero=distribution["n_zero"],
         ),
         key_goals=structure.key_goals,
-        participants=ScoreTable(key_ids, sub_ids, columns),
+        participants=ScoreTable(key_ids, sub_ids, (tuple(map(itemgetter("id"), participants)), *columns)),
         histogram=tuple(distribution["histogram"]),
         participation=None if data["participation"] is None else Participation(**data["participation"]),
         groups=None if groups is None else {
@@ -416,50 +433,24 @@ def parse_report(document: bytes | str) -> ScoreReport:
     return report
 
 
-def _read(document: bytes | str) -> tuple[dict, tuple[tuple, ...]] | None:
-    """The loaded report and its participants' columns (ids, overall, each key goal's, each sub goal's), if C-level passes find no fault; None if they find one, or cannot tell.
-
-    They find that no object repeats a name (by _schema.load_plain's count of
-    colons), that the document fits REPORT_SHAPE, that every score map holds
-    the tree's ids in order and that every score is in [0, 1]. The
-    participants are not walked one by one: one tuple of every score serves
-    the checks and the columns, and their colons are counted by arithmetic on
-    the tree's and their ids.
-    """
-    loaded = _schema.load_plain(document)
-    if loaded is None:
-        return None
-    data, n_colons = loaded
-    if not (_schema.fits(data, REPORT_SHAPE) and data["participants"]):
-        return None
-    participants = data["participants"]
-    key_ids = tuple(map(itemgetter("id"), data["key_goals"]))
-    sub_ids = tuple(sub["id"] for key in data["key_goals"] for sub in key["sub_goals"])
-    ids = tuple(map(itemgetter("id"), participants))
-    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-    columns = _score_columns(tuple(map(itemgetter("overall"), participants)), key_maps, sub_maps, key_ids, sub_ids)
-    n = len(participants)
-    members = n * (len(REPORT_SHAPE["participants"][0]) + len(key_ids) + len(sub_ids))
-    if columns is None or n_colons != _schema.colons({**data, "participants": []}) + members + n * "".join(key_ids + sub_ids).count(":") + "".join(ids).count(":"):
-        return None
-    return data, (ids, *columns)
-
-
-def _score_columns(scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]] | None:
-    """Rows of (score, key scores, sub scores), whose values fit the report's shape, as columns: the scores, each key goal's and each sub goal's, sliced from one tuple of every value; None unless every map holds the tree's ids in order and every value is in [0, 1]."""
-    values = tuple(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))  # a tuple, so that each column is one slice
-    ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
-    if not (ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0):
-        return None
-    n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
-    return [values[:n], *(values[n + j : subs_from : n_keys] for j in range(n_keys)), *(values[subs_from + j :: len(sub_ids)] for j in range(len(sub_ids)))]
+def _colons(data: dict, table: ScoreTable) -> int:
+    """_schema.colons(data) of an accepted report, its participants counted from their table: per participant, the members of its record and its two score maps, the ":" of the tree's ids that name the maps' members, and the ":" of its own id."""
+    members = len(REPORT_SHAPE["participants"][0]) + len(table.key_ids) + len(table.sub_ids) + "".join(table.key_ids + table.sub_ids).count(":")
+    return _schema.colons({**data, "participants": []}) + len(table) * members + "".join(table.ids).count(":")
 
 
 def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]]:
-    """Name the first misfit among rows of (score, key scores, sub scores), ids other than the tree's or a score outside [0, 1]; else return _score_columns' columns, whose passes find whether there is one."""
-    columns = _score_columns(scores, key_maps, sub_maps, key_ids, sub_ids)
-    if columns is not None:
-        return columns
+    """Rows of (score, key scores, sub scores), whose values fit the report's shape, as columns: the scores, each key goal's and each sub goal's, sliced from one tuple of every value.
+
+    C-level passes over that tuple find whether every map holds the tree's
+    ids in order and every value is in [0, 1]; only if not are the rows
+    walked, to name the first misfit in a SchemaError.
+    """
+    values = tuple(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))  # a tuple, so that each column is one slice
+    ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
+    if ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
+        n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
+        return [values[:n], *(values[n + j : subs_from : n_keys] for j in range(n_keys)), *(values[subs_from + j :: len(sub_ids)] for j in range(len(sub_ids)))]
     for path, score, key_scores, sub_scores in zip(paths, scores, key_maps, sub_maps):
         for name, by_id, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
             if tuple(by_id) != ids:

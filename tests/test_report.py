@@ -4,12 +4,14 @@ import csv
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 import report_reference
 from csv_reference import render_csv
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from sure_eval import _schema
 from sure_eval.errors import ReportError, SchemaError
 from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
 from sure_eval.ingest import parse_responses
@@ -85,6 +87,22 @@ def test_build_report_rejects_unknown_group_key(scored, structure, responses):
 def test_build_report_rejects_enrolled_below_respondents(scored, structure, responses):
     with pytest.raises(ReportError):
         full_report(scored, structure, responses, participation=(9, 5))
+
+
+@pytest.mark.parametrize("overall", [-0.5, 1.5, -5e-324, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_table", [False, True])
+def test_build_report_rejects_an_overall_score_outside_the_unit_interval(scored, structure, responses, overall, as_table):
+    # regression: -0.5 was counted in the 0.5-0.6 bin, NaN raised a bare ValueError and an infinity an OverflowError
+    scores, aggregates = scored
+    hand_made = [*scores[:3], replace(scores[3], overall=overall), replace(scores[4], overall=2.0), *scores[5:]]
+    if as_table:
+        hand_made = ScoreTable.of(hand_made, *_tree_ids(structure.key_goals))
+    with pytest.raises(ReportError, match=rf"^participant '{scores[3].participant_id}' has overall score {overall!r}, outside \[0, 1\]$"):
+        build_report(hand_made, aggregates, structure, responses)
+
+
+def test_histogram_bins_the_extremes_of_the_unit_interval():
+    assert _histogram([0.0, -0.0, 5e-324, 0.1, 0.95, 1.0, 1.0]) == (3, 1, 0, 0, 0, 0, 0, 0, 0, 3)
 
 
 def test_markdown_sections_in_order(scored, structure, responses):
@@ -234,7 +252,7 @@ def test_json_render_rejects_a_group_score_map_without_the_tree_ids(scored, stru
 
 
 # Ids and labels that a % template or a JSON string must escape, and characters written as they are.
-HOSTILE = st.lists(st.sampled_from(["%", "%s", "%%", '"', "\\", "\u2028", "\xe9", "\U0001f600", "a"]), min_size=1, max_size=4).map("".join)
+HOSTILE = st.lists(st.sampled_from(["%", "%s", "%%", '"', "\\", ":", "\u2028", "\xe9", "\U0001f600", "a"]), min_size=1, max_size=4).map("".join)
 SCORES = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0, 5e-324])
 
 
@@ -498,6 +516,7 @@ def _read_or_error(parse, document):
     return report, render_report(report, "json")
 
 
+@settings(max_examples=500)
 @given(reports(), st.data())
 def test_parse_report_accepts_and_words_what_the_hooked_reader_did(report, data):
     """Repeated names, reordered fields and maps, odd scores, colons and \\u escapes in strings, spaces around ":"."""
@@ -513,6 +532,7 @@ def test_parse_report_accepts_and_words_what_the_hooked_reader_did(report, data)
     assert _read_or_error(parse_report, document) == _read_or_error(report_reference.parse_report, document)
 
 
+@settings(max_examples=500)
 @given(reports(), st.data())
 def test_parse_report_words_one_repeated_name_or_moved_map_id(report, data):
     """One name repeated after its original, with as many \\u003a in the title as the colons the repeat drops (the counts then agree, so only the \\u check leaves the document to the hooked reader), or one score map's ids out of order."""
@@ -521,6 +541,34 @@ def test_parse_report_words_one_repeated_name_or_moved_map_id(report, data):
     text = _encode(doc)
     text = text.replace('"title": "', '"title": "' + "\\u003a" * (text.count(":") - _colons(json.loads(text))), 1)
     assert _read_or_error(parse_report, text) == _read_or_error(report_reference.parse_report, text)
+
+
+@given(reports())
+def test_parse_report_accepts_a_written_report_without_the_hooked_loader(report):
+    with mock.patch("sure_eval._schema.load_json", side_effect=AssertionError("the hooked loader ran")):
+        assert parse_report(render_report(report, "json")) == report
+
+
+def test_parse_report_runs_the_hooked_loader_once_for_a_fault_a_repeated_name_or_an_escape(scored, structure, responses):
+    text = render_report(full_report(scored, structure, responses), "json").decode()
+    last_overall = text.rindex('"overall": ') + len('"overall": ')
+    out_of_range = text[:last_overall] + "1.5" + text[text.index(",", last_overall) :]
+    repeated = text.replace('"general": ', '"general": 0.5,\n  "general": ', 1)  # accepted as it loads without the hook
+    repeated_out_of_range = text[:last_overall] + '0.5, "overall": 1.5' + text[text.index(",", last_overall) :]  # rejected as it loads without the hook
+    escaped = text.replace('"title": "', '"title": "\\u0041', 1)
+    for document, outcome in (
+        (out_of_range, r"\.overall: score 1\.5 is outside \[0, 1\]$"),
+        (repeated, "^report repeats the name 'general' in one object$"),
+        (repeated_out_of_range, "^report repeats the name 'overall' in one object$"),
+        (escaped, None),
+    ):
+        with mock.patch("sure_eval._schema.load_json", wraps=_schema.load_json) as load_json:
+            if outcome is None:
+                assert parse_report(document).title == "A" + structure.title
+            else:
+                with pytest.raises(SchemaError, match=outcome):
+                    parse_report(document)
+        assert load_json.call_count == 1
 
 
 # --- one key goal with one sub goal: every per-id column is a single one -----
