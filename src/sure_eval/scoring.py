@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, product, repeat
 from operator import add, mul, not_, sub, truediv
 from typing import Iterable, Iterator, Mapping
 
@@ -168,19 +168,26 @@ def _kernel(records: Sequence[ParticipantRecord], plan: list[tuple[str, list[tup
     return ScoreTable(key_ids, sub_ids, (table.ids, tuple(_series(key_columns)), *key_columns, *sub_columns))
 
 
-def _mean(code_columns: Sequence[Iterable[int]], unit: dict[int, float]) -> Iterator[float]:
+def _mean(code_columns: Sequence[Sequence[int]], unit: dict[int, float]) -> Iterator[float]:
     """The sub-goal rule over columns of answer codes: the mean of their unit scores, summed left to right from 0.0.
 
     The mean of one answer is its unit score itself: (0.0 + u) / 1 is u bit
     for bit, as every unit score is a float >= +0.0, so those means skip
-    both passes and share unit's floats.
+    both passes and share unit's floats. k columns of codes on an L-level
+    scale hold at most L**k answer combinations; when the columns are longer
+    than that, the same passes run once over every combination, and each
+    participant's mean is looked up by its answers, so equal answers share
+    one float. A bad answer is missing from that table as it is from unit.
     """
-    if len(code_columns) == 1:
+    k = len(code_columns)
+    if k == 1:
         return map(unit.__getitem__, code_columns[0])
+    combinations = tuple(product(unit, repeat=k)) if len(code_columns[0]) > len(unit) ** k else None
     total: Iterator[float] = repeat(0.0)
-    for column in code_columns:
+    for column in code_columns if combinations is None else zip(*combinations):
         total = map(add, total, map(unit.__getitem__, column))
-    return map(truediv, total, repeat(len(code_columns)))
+    means = map(truediv, total, repeat(k))
+    return means if combinations is None else map(dict(zip(combinations, means)).__getitem__, zip(*code_columns))
 
 
 def _parallel(sub_columns: Sequence[Iterable[float]]) -> Iterator[float]:

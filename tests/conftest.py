@@ -1,6 +1,18 @@
 from __future__ import annotations
 
+import warnings
+from contextlib import suppress
+
 import pytest
+
+# Hypothesis's pytest plugin imports this module, and with it libcst where that
+# is installed, to report a failing property. Under -W error, libcst's TypedDict
+# classes raise mypy_extensions' DeprecationWarning at that import, and pytest
+# ends in INTERNALERROR instead of printing the falsifying example. Importing it
+# once here, with that warning ignored, lets the report run.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from sure_eval import data as bundled
 from sure_eval.goal_structure import parse_structure

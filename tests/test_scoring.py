@@ -3,11 +3,13 @@ from __future__ import annotations
 import copy
 import pickle
 from functools import reduce
+from itertools import product
 from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sure_eval import scoring
 from sure_eval.errors import InvalidQuestionnaireError, NoDataError
 from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
 from sure_eval.ingest import MissingPolicy, ParticipantRecord, ResponseSet
@@ -318,15 +320,18 @@ def test_a_score_tables_means_are_reduce_add_bit_for_bit(shape, data):
 
 @st.composite
 def scored_inputs(draw):
-    """A random tree whose sub goals have 1-4 questions each, in shuffled questionnaire order, a 2-9 level scale, and 1-8 participants in 1-3 groups."""
+    """A random tree whose sub goals have 1-4 questions each, in shuffled questionnaire order, a 2-9 level scale, and participants in 1-3 groups.
+
+    There are 1-8 participants or, about half the time when a sub goal has
+    k >= 2 questions and L**k <= 64, L**k to L**k + 2 of them: scoring runs
+    that sub goal answer by answer, or from the table of its answer combinations.
+    """
     structure = make_structure(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
-    questions = [
-        Question(id=f"Q_{sub.id}_{j}", text="q", sub_goal=sub.id)
-        for key_goal in structure.key_goals
-        for sub in key_goal.sub_goals
-        for j in range(draw(st.integers(1, 4)))
-    ]
+    counts = [draw(st.integers(1, 4)) for key_goal in structure.key_goals for _ in key_goal.sub_goals]
+    questions = [Question(id=f"Q_{sub_id}_{j}", text="q", sub_goal=sub_id) for sub_id, k in zip(structure.sub_goal_ids(), counts) for j in range(k)]
     levels = draw(st.integers(2, 9))
+    table_sizes = sorted({levels**k for k in counts if k > 1 and levels**k <= 64})
+    n = draw(st.integers(1, 8) | (st.sampled_from(table_sizes).flatmap(lambda size: st.integers(size, size + 2)) if table_sizes else st.nothing()))
     questionnaire = Questionnaire(
         questions=tuple(draw(st.permutations(questions))),
         scale=Scale(tuple(ScaleLevel(code, f"level {code}") for code in range(levels))),
@@ -335,7 +340,7 @@ def scored_inputs(draw):
     answers = st.fixed_dictionaries({question.id: st.integers(0, levels - 1) for question in questions})
     participants = tuple(
         ParticipantRecord(f"P{i}", {"group": draw(st.sampled_from("abc"))}, row)
-        for i, row in enumerate(draw(st.lists(answers, min_size=1, max_size=8)), start=1)
+        for i, row in enumerate(draw(st.lists(answers, min_size=n, max_size=n)), start=1)
     )
     return structure, questionnaire, ResponseSet("1", participants, MissingPolicy.EXCLUDE_PARTICIPANT, ("group",), ())
 
@@ -357,9 +362,8 @@ def reference_scores(structure, questionnaire, answers):
     return sub_scores, key_scores, overall
 
 
-@given(scored_inputs())
-def test_the_score_table_is_the_rules_bit_for_bit(inputs):
-    structure, questionnaire, responses = inputs
+def assert_the_rules_bit_for_bit(structure, questionnaire, responses):
+    """score_all's table holds, for every participant, reference_scores' values by float.hex."""
     table, _ = score_all(responses, questionnaire, structure)
     assert isinstance(table, ScoreTable) and len(table) == len(responses.participants)
     for record, score in zip(responses.participants, table):
@@ -369,6 +373,11 @@ def test_the_score_table_is_the_rules_bit_for_bit(inputs):
         assert [value.hex() for value in (score.overall, *score.key_goal_scores.values(), *score.sub_goal_scores.values())] == [
             value.hex() for value in (overall, *key_scores.values(), *sub_scores.values())
         ]
+
+
+@given(scored_inputs())
+def test_the_score_table_is_the_rules_bit_for_bit(inputs):
+    assert_the_rules_bit_for_bit(*inputs)
 
 
 @given(scored_inputs())
@@ -408,6 +417,65 @@ def test_a_bad_answer_is_named_at_the_first_participant_and_question_in_plan_ord
     with pytest.raises(ValueError) as raised:
         score_all(ResponseSet("1", participants, MissingPolicy.EXCLUDE_PARTICIPANT, ("group",), ()), questionnaire, structure)
     assert str(raised.value) == f"participant 'P{i + 1}': answer for {question_id!r} must be a level code 0..{levels - 1}, found {rows[i].get(question_id)!r}"
+
+
+# Sub goals of 2 and 3 questions, interleaved in questionnaire order.
+COMBINATION_QUESTIONS = {"K1S1": ("Q_K1S1_0", "Q_K1S1_1"), "K1S2": ("Q_K1S2_0", "Q_K1S2_1", "Q_K1S2_2")}
+
+
+def combination_inputs(levels, n):
+    """One key goal over COMBINATION_QUESTIONS' sub goals on an L-level scale, and n participants: participant i answers
+    each sub goal of k questions with the (i mod L**k)-th of its answer combinations, so n >= L**k gives every one."""
+    structure = make_structure([2])
+    order = ("Q_K1S2_0", "Q_K1S1_0", "Q_K1S2_1", "Q_K1S1_1", "Q_K1S2_2")
+    questionnaire = Questionnaire(
+        questions=tuple(Question(id=question_id, text="q", sub_goal=question_id[2:6]) for question_id in order),
+        scale=Scale(tuple(ScaleLevel(code, f"level {code}") for code in range(levels))),
+        structure_version="1",
+    )
+    combinations = {sub_id: list(product(range(levels), repeat=len(ids))) for sub_id, ids in COMBINATION_QUESTIONS.items()}
+    rows = [
+        {question_id: code for sub_id, ids in COMBINATION_QUESTIONS.items() for question_id, code in zip(ids, combinations[sub_id][i % levels ** len(ids)])}
+        for i in range(n)
+    ]
+    return structure, questionnaire, response_set(structure, questionnaire, rows)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4])
+def test_multi_question_sub_goals_score_the_rules_and_name_bad_answers_at_and_past_their_combination_counts(levels):
+    # n = L**k scores a k-question sub goal answer by answer, n = L**k + 1 from a table of its combinations
+    for n in (levels**2, levels**2 + 1, levels**3, levels**3 + 1):
+        structure, questionnaire, responses = combination_inputs(levels, n)
+        assert_the_rules_bit_for_bit(structure, questionnaire, responses)
+        for question_id in ("Q_K1S1_1", "Q_K1S2_1"):
+            for bad in (-1, levels, None, float("nan"), "missing"):
+                rows = [dict(record.answers) for record in responses.participants]
+                if bad == "missing":
+                    del rows[-1][question_id]
+                else:
+                    rows[-1][question_id] = bad
+                with pytest.raises(ValueError) as raised:
+                    score_all(response_set(structure, questionnaire, rows), questionnaire, structure)
+                assert str(raised.value) == f"participant 'P{n}': answer for {question_id!r} must be a level code 0..{levels - 1}, found {rows[-1].get(question_id)!r}"
+        table, _ = score_all(responses, questionnaire, structure)
+        rows = [{question_id: (True, 1.0)[i % 2] if code == 1 else code for question_id, code in record.answers.items()} for i, record in enumerate(responses.participants)]
+        as_ones, _ = score_all(response_set(structure, questionnaire, rows), questionnaire, structure)
+        assert [list(map(float.hex, column)) for column in as_ones.columns[1:]] == [list(map(float.hex, column)) for column in table.columns[1:]]
+
+
+def test_a_sub_goal_is_scored_from_a_table_only_when_it_is_shorter_than_the_column_and_then_shares_its_floats(monkeypatch):
+    tables = []  # the question count of each sub goal scored from a table, in plan order
+    monkeypatch.setattr(scoring, "product", lambda codes, repeat: tables.append(repeat) or product(codes, repeat=repeat))
+    counts = [len(ids) for ids in COMBINATION_QUESTIONS.values()]
+    for levels in (2, 3):
+        for n in (levels**2, levels**2 + 1, levels**3, levels**3 + 1):
+            tables.clear()
+            structure, questionnaire, responses = combination_inputs(levels, n)
+            table, _ = score_all(responses, questionnaire, structure)
+            assert tables == [k for k in counts if n > levels**k]
+            for column, k in zip(table.sub_columns, counts):
+                if n > levels**k:
+                    assert len({*map(id, column)}) <= levels**k
 
 
 def test_the_score_table_is_read_only_and_copies(structure, questionnaire, responses):
