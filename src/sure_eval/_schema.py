@@ -12,7 +12,9 @@ document that does not fit its shape; ``fits(value, shape)`` only tells
 whether it fits. One fit test decides what a shape admits: it takes a list of values apart into leaf columns, one C-level pass
 each. Only a document that does not fit is walked, with the same test on
 slices of its arrays and maps (bisection) and on its fields in turn, to name
-the first misfit and word its problem.
+the first misfit and word its problem. ``columns_of`` reads an array of
+records that fits, each with its fields in order, straight into leaf columns.
+The loaders give one float per distinct number text in a document.
 
 ``dumps(value, shape)`` checks a value against the same shape and then
 writes it, in the shape's field order with two-space indentation, so the
@@ -84,11 +86,23 @@ def load_json(document: bytes | str, what: str = "document") -> Any:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{what} is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(document, parse_constant=_NonFinite, object_pairs_hook=partial(_object, what))
+        return json.loads(document, parse_float=_Floats().__getitem__, parse_constant=_NonFinite, object_pairs_hook=partial(_object, what))
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{what} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+
+
+class _Floats(dict):
+    """float(text) for each number text looked up, computed once per distinct text: one call's parse_float, so equal texts load as one shared float.
+
+    The key is the text, not the value, so each float is the one float(text)
+    gives, and "-0.0" and "0.0" stay two floats.
+    """
+
+    def __missing__(self, text: str) -> float:
+        self[text] = value = float(text)
+        return value
 
 
 def _object(what: str, pairs: list[tuple[str, Any]]) -> dict:
@@ -118,7 +132,7 @@ def load_plain(document: bytes | str) -> tuple[Any, int] | None:
     if not isinstance(document, str) or ("\\" in document and "\\u" in document):  # a bytearray, say, is load_json's to read; one character is found many times faster than two
         return None
     try:
-        return json.loads(document, parse_constant=_NonFinite), document.count(":")
+        return json.loads(document, parse_float=_Floats().__getitem__, parse_constant=_NonFinite), document.count(":")
     except json.JSONDecodeError:
         return None
 
@@ -144,6 +158,33 @@ def check(value: Any, shape: Any) -> None:
 def fits(value: Any, shape: Any) -> bool:
     """Whether value matches shape, without naming what does not."""
     return _all_fit([value], shape)
+
+
+def columns_of(values: Sequence, shape: Any) -> list[Sequence] | None:
+    """The leaf columns, in slot order, of values, an array of records of shape whose fields are leaves or records of leaves (as Columns holds them), when every record holds the shape's fields in the shape's order, at every level, and every leaf fits; None when one does not, for check to name the misfit (a record with its fields in another order fits, but is not gathered).
+
+    Each level of records takes one pass: one compare of all its records'
+    names, flattened, with the shape's repeated, and one tuple of all their
+    values, whose strided slices are the fields' columns. Each leaf column is
+    tested by _all_fit, but a record whose fields share one leaf shape, as a
+    record of scores does, has that one tuple tested.
+    """
+    if type(shape) is not dict:
+        return [values] if _all_fit(values, shape) else None
+    names, fields = tuple(shape), [*shape.values()]
+    if not ({*map(type, values)} <= {dict} and tuple(chain.from_iterable(values)) == names * len(values)):  # no record repeats a name, so each then holds exactly these
+        return None
+    flat = tuple(chain.from_iterable(map(dict.values, values)))
+    columns = [flat[j :: len(names)] for j in range(len(names))]
+    if len(fields) > 1 and fields.count(fields[0]) == len(fields) and type(fields[0]) is not dict:
+        return columns if _all_fit(flat, fields[0]) else None
+    leaves: list[Sequence] = []
+    for column, field in zip(columns, fields):
+        field_leaves = columns_of(column, field)
+        if field_leaves is None:
+            return None
+        leaves += field_leaves
+    return leaves
 
 
 _EXPECTED = {str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"}

@@ -13,7 +13,6 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, compress, count, groupby, repeat
 from math import isfinite
@@ -126,6 +125,8 @@ def build_report(
             groups[key] = {value: aggregate_scores(table.take(list(map(scored.__getitem__, members))), structure) for value, members in by_value}
 
     if generated_at is None:
+        from datetime import datetime, timezone  # here, so that a run with a fixed stamp never imports datetime
+
         generated_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
     return ScoreReport(
@@ -156,8 +157,7 @@ def render_report(report: ScoreReport, format: str) -> bytes:
     if format == "json":
         # Written with each score map a record of the tree's ids, so every map is laid out in tree order and one with other ids is a SchemaError.
         key_ids, sub_ids = _tree_ids(report.key_goals)
-        shape = _report_shape(dict.fromkeys(key_ids, float), dict.fromkeys(sub_ids, float))
-        return _schema.dumps(_report_to_obj(report, _participant_columns(report.participants, key_ids, sub_ids)), shape)
+        return _schema.dumps(_report_to_obj(report, _participant_columns(report.participants, key_ids, sub_ids)), _written_shape(key_ids, sub_ids))
     if format == "csv":
         return _render_csv(report).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
@@ -367,6 +367,11 @@ def _report_shape(key_scores: Any, sub_scores: Any) -> dict:
 REPORT_SHAPE = _report_shape({str: float}, {str: float})
 
 
+def _written_shape(key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> dict:
+    """The layout the writer writes for a tree of these ids: each score map a record of the tree's ids, in tree order."""
+    return _report_shape(dict.fromkeys(key_ids, float), dict.fromkeys(sub_ids, float))
+
+
 def parse_report(document: bytes | str) -> ScoreReport:
     """Rebuild a ScoreReport from its json rendering, field for field.
 
@@ -379,6 +384,9 @@ def parse_report(document: bytes | str) -> ScoreReport:
     load_json's repeated-name hook. It is loaded again with the hook only to
     find a repeated name: when a check rejects it, or when its text holds
     more ":" than the accepted report's value, which only a repeated name makes.
+    Either load gives one float per distinct number text, and the participants
+    of a document laid out as the writer writes it are read in one gathered
+    pass; the checks run in turn only on a document that pass does not read.
     """
     loaded = _schema.load_plain(document)
     if loaded is None:
@@ -396,17 +404,9 @@ def parse_report(document: bytes | str) -> ScoreReport:
 
 def _checked_report(data: Any) -> ScoreReport:
     """The report a loaded document holds; a SchemaError names the first fault of its shape, its tree, its participants (at least one, with the tree's ids in order and scores in [0, 1]) or its figures, checked in that order."""
-    _schema.check(data, REPORT_SHAPE)
-    distribution, groups, participants = data["distribution"], data["groups"], data["participants"]
-    structure = GoalStructure(title=data["title"], version=data["version"], key_goals=key_goals_from_obj(data["key_goals"]))
-    for violation in validate_structure(structure)[:1]:
-        raise SchemaError(f"{violation.path}: {violation.message}")
-    if not participants:
-        raise SchemaError("$.participants: a report has at least one participant")
+    structure, columns = _read_gathered(data) or _read_checked(data)
     key_ids, sub_ids = _tree_ids(structure.key_goals)
-    overall = tuple(map(itemgetter("overall"), participants))
-    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-    columns = _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
+    distribution, groups = data["distribution"], data["groups"]
     report = ScoreReport(
         title=structure.title,
         version=structure.version,
@@ -420,7 +420,7 @@ def _checked_report(data: Any) -> ScoreReport:
             n_overall_zero=distribution["n_zero"],
         ),
         key_goals=structure.key_goals,
-        participants=ScoreTable(key_ids, sub_ids, (tuple(map(itemgetter("id"), participants)), *columns)),
+        participants=ScoreTable(key_ids, sub_ids, tuple(columns)),
         histogram=tuple(distribution["histogram"]),
         participation=None if data["participation"] is None else Participation(**data["participation"]),
         groups=None if groups is None else {
@@ -431,6 +431,45 @@ def _checked_report(data: Any) -> ScoreReport:
     )
     _check_consistent(report, structure)
     return report
+
+
+def _read_gathered(data: Any) -> tuple[GoalStructure, Sequence[Sequence]] | None:
+    """The tree and the participants' columns (ids, overall, key goals', sub goals') of a document whose participants fit the shape the writer writes, by one gathered pass over them; None for a document that the checks in turn must read, to accept it or to name its first fault.
+
+    The rest of the document must fit REPORT_SHAPE and hold a valid tree; each
+    participant's record and score maps must hold their fields and the tree's
+    ids in order, and every score lie in [0, 1].
+    """
+    participants = data.get("participants") if type(data) is dict else None
+    if not (type(participants) is list and participants and _schema.fits({**data, "participants": []}, REPORT_SHAPE)):
+        return None
+    structure = _structure(data)
+    if validate_structure(structure):
+        return None
+    columns = _schema.columns_of(participants, _written_shape(*_tree_ids(structure.key_goals))["participants"][0])
+    if columns is None or not all(0.0 <= min(column) and max(column) <= 1.0 for column in columns[1:]):
+        return None
+    return structure, columns
+
+
+def _read_checked(data: Any) -> tuple[GoalStructure, Sequence[Sequence]]:
+    """What _read_gathered gives, of a document that it does not read: the shape, the tree and the participants checked in turn, the first fault a SchemaError."""
+    _schema.check(data, REPORT_SHAPE)
+    structure = _structure(data)
+    for violation in validate_structure(structure)[:1]:
+        raise SchemaError(f"{violation.path}: {violation.message}")
+    participants = data["participants"]
+    if not participants:
+        raise SchemaError("$.participants: a report has at least one participant")
+    key_ids, sub_ids = _tree_ids(structure.key_goals)
+    overall = tuple(map(itemgetter("overall"), participants))
+    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
+    columns = _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
+    return structure, (tuple(map(itemgetter("id"), participants)), *columns)
+
+
+def _structure(data: dict) -> GoalStructure:
+    return GoalStructure(title=data["title"], version=data["version"], key_goals=key_goals_from_obj(data["key_goals"]))
 
 
 def _colons(data: dict, table: ScoreTable) -> int:

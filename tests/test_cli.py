@@ -579,6 +579,22 @@ def test_commands_that_read_only_the_documents_import_no_scoring_path(sample_fil
     assert stdout_of(code).splitlines()[-1] == "[]"
 
 
+def test_score_with_a_fixed_stamp_imports_no_datetime(sample_files, tmp_path):
+    # Each format with --reproducible, then once without it, which stamps the time.
+    runs = [[*GOLDEN_ARGS, "--format", format] for format in sure_eval.report.RENDER_FORMATS] + [["--demographics", "gender", "--format", "json"]]
+    code = (
+        "import runpy, sys\n"
+        f"for options in {runs!r}:\n"
+        f"    sys.argv = ['sure-eval', 'score', *{[str(path) for path in sample_files]!r}, *options, '--out', {str(tmp_path / 'report')!r}]\n"
+        "    try:\n"
+        "        runpy.run_module('sure_eval', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "    print('datetime' in sys.modules)\n"
+    )
+    assert stdout_of(code).splitlines() == ["False", "False", "False", "True"]
+
+
 def test_the_package_exports_every_name_on_first_use():
     code = (
         "import sys\n"

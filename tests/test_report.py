@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -16,7 +17,7 @@ from sure_eval.errors import ReportError, SchemaError
 from sure_eval.goal_structure import GoalStructure, KeyGoal, SubGoal, confirm_structure
 from sure_eval.ingest import parse_responses
 from sure_eval.questionnaire import generate_template
-from sure_eval.report import Participation, ScoreReport, _histogram, _report_to_obj, build_report, parse_report, participation_rate, render_report
+from sure_eval.report import Participation, ScoreReport, _check_scores, _histogram, _report_to_obj, build_report, parse_report, participation_rate, render_report
 from sure_eval.scoring import AggregateScores, ParticipantScore, ScoreTable, _tree_ids, aggregate_scores, score_all
 
 
@@ -569,6 +570,105 @@ def test_parse_report_runs_the_hooked_loader_once_for_a_fault_a_repeated_name_or
                 with pytest.raises(SchemaError, match=outcome):
                     parse_report(document)
         assert load_json.call_count == 1
+
+
+def _insert_after(text, section, name, member):
+    """text with member inserted after the value of the first "name": member at or after the first section in it."""
+    at = text.index(f'"{name}": ', text.index(section))
+    end = min(text.index(",", at), text.index("\n", at))
+    return text[:end] + ", " + member + text[end:]
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        pytest.param('"participants"', "overall", "1.5", id="record"),
+        pytest.param('"participants"', "A11", "1", id="score-map"),
+        pytest.param('"groups"', "general", "-0.25", id="group"),
+    ],
+)
+def test_parse_report_names_a_repeated_name_whose_later_copy_is_a_score_fault(scored, structure, responses, section, name, value):
+    # The plain load keeps the later, faulty copy; with no \u escape in the text, only the hooked load names the repeat.
+    text = render_report(full_report(scored, structure, responses, participation=(9, 20), group_by=["gender"]), "json").decode()
+    document = _insert_after(text, section, name, f'"{name}": {value}')
+    assert "\\u" not in document
+    assert _read_or_error(parse_report, document) == _read_or_error(report_reference.parse_report, document) == f"report repeats the name {name!r} in one object"
+
+
+# --- parse_report's numbers: one float per distinct text ---------------------
+
+
+def test_parse_report_reads_each_score_bit_for_bit_one_float_per_text_and_none_shared_between_calls():
+    structure = _tiny_structure(2)
+    values = [-0.0, 0.0, 5e-324, 1.0, 0.5, 1 / 3]
+    columns = [tuple(values[(i + j) % len(values)] for i in range(12)) for j in range(4)]  # every value in every column
+    table = ScoreTable(("K1",), ("S1", "S2"), (tuple(f"P{i}" for i in range(12)), *columns))
+    report = ScoreReport("t", "1", "", aggregate_scores(table, structure), structure.key_goals, table, _histogram(table.overall), None, None, ())
+    document = render_report(report, "json")
+    first, second = parse_report(document), parse_report(document)
+    assert first == report
+    assert [list(map(float.hex, column)) for column in first.participants.columns[1:]] == [list(map(float.hex, column)) for column in columns]
+    scores = [value for column in first.participants.columns[1:] for value in column]
+    assert len({*map(id, scores)}) == len({*map(repr, scores)}) == len(values)
+    assert not {*map(id, scores)} & {id(value) for column in second.participants.columns[1:] for value in column}
+
+
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        pytest.param("1e999", r"^\$\.participants\[0\]\.overall: expected a number, got Infinity$", id="overflow"),
+        pytest.param("NaN", r"^\$\.participants\[0\]\.overall: expected a number, got NaN$", id="nan"),
+    ],
+)
+def test_parse_report_names_a_non_finite_score_as_before(scored, structure, responses, number, message):
+    text = render_report(full_report(scored, structure, responses), "json").decode()
+    at = text.index('"overall": ') + len('"overall": ')
+    document = text[:at] + number + text[text.index(",", at) :]
+    with pytest.raises(SchemaError, match=message):
+        parse_report(document)
+    assert _read_or_error(parse_report, document) == _read_or_error(report_reference.parse_report, document)
+
+
+# --- parse_report's one gathered pass over the participants ------------------
+
+
+def _reorder_record(doc):
+    doc["participants"][1] = dict(reversed(doc["participants"][1].items()))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        pytest.param(["participants", 2, "key_goals"], {"B2": 0.5, "B1": 0.5, "B3": 0.5, "B4": 0.5}, r"^\$\.participants\[2\]\.key_goals: ids must be the report's, in order: B1, B2, B3, B4$", id="ids-out-of-order"),
+        pytest.param(["participants", 1, "sub_goals", "A12"], 0, r"^\$\.participants\[1\]\.sub_goals\.A12: expected a number, got integer$", id="int-score"),
+        pytest.param(["participants", 3, "key_goals", "B3"], False, r"^\$\.participants\[3\]\.key_goals\.B3: expected a number, got boolean$", id="bool-score"),
+        pytest.param(["participants", 4, "sub_goals"], [0.5], r"^\$\.participants\[4\]\.sub_goals: expected an object, got array$", id="map-not-an-object"),
+        pytest.param(["participants"], [], r"^\$\.participants: a report has at least one participant$", id="no-participants"),
+        pytest.param(None, _reorder_record, None, id="record-fields-reordered"),
+    ],
+)
+def test_parse_report_words_what_the_gathered_pass_rejects_as_before(report_doc, path, value, message):
+    if path is None:
+        value(report_doc)
+    else:
+        _set(report_doc, path, value)
+    document = json.dumps(report_doc).encode()
+    with mock.patch("sure_eval._schema.load_json", wraps=_schema.load_json) as load_json:
+        outcome = _read_or_error(parse_report, document)
+    assert load_json.call_count <= 1
+    assert outcome == _read_or_error(report_reference.parse_report, document)
+    if message is None:
+        assert not isinstance(outcome, str)
+    else:
+        assert re.match(message, outcome)
+
+
+def test_parse_report_reads_a_written_report_in_the_gathered_pass_alone(scored, structure, responses):
+    report = full_report(scored, structure, responses, participation=(9, 20), group_by=["gender"])
+    document = render_report(report, "json")
+    with mock.patch("sure_eval._schema.check", side_effect=AssertionError("the checks ran")), mock.patch("sure_eval.report._check_scores", wraps=_check_scores) as check_scores:
+        assert parse_report(document) == report
+    assert check_scores.call_count == 1  # the groups', by _check_consistent
 
 
 # --- one key goal with one sub goal: every per-id column is a single one -----

@@ -229,3 +229,38 @@ def test_a_misfit_among_many_elements_is_named_by_bisection(monkeypatch, value, 
     with pytest.raises(SchemaError, match=message):
         check(value, shape)
     assert len(calls) <= 4 * (4096).bit_length()
+
+
+def in_order(value, shape):
+    """Whether value, of a record shape, holds the shape's fields in the shape's order, and so do the records in its fields."""
+    if type(shape) is not dict or str in shape:
+        return True
+    return list(value) == list(shape) and all(in_order(value[name], field) for name, field in shape.items())
+
+
+RECORD_SHAPES = {
+    "participant": TREE_REPORT_SHAPE["participants"][0],
+    "mixed": {"a": str, "b": {"c": int, "d": float, "e": ("x", "y")}, "f": float},
+    "records-of-one-shape": {"p": {"q": int}, "r": {"q": int}},
+    "empty": {},
+}
+
+
+@pytest.mark.parametrize("shape", RECORD_SHAPES.values(), ids=RECORD_SHAPES)
+@given(data=st.data())
+def test_columns_of_gathers_exactly_the_records_that_fit_with_their_fields_in_order(shape, data):
+    records = data.draw(st.lists(values(shape), max_size=4), label="records")
+    inside = list(parts([records], 0, [shape], "$"))[1:]
+    reorderable = [part for part in inside if type(part[2]) is dict and len(part[2]) > 1]
+    change = data.draw(st.sampled_from(["none", "fault", "reorder"]), label="change")
+    if change == "fault" and inside:
+        holder, key, part_shape, _ = data.draw(st.sampled_from(inside), label="location")
+        holder[key] = data.draw(st.sampled_from([other for other, _ in faults(data, part_shape, holder[key])]), label="fault")
+    if change == "reorder" and reorderable:  # one record's fields in another order
+        holder, key, _, _ = data.draw(st.sampled_from(reorderable), label="location")
+        holder[key] = dict(reversed(holder[key].items()))
+    gathered = _schema.columns_of(records, shape)
+    if _schema.fits(records, [shape]) and all(in_order(record, shape) for record in records):
+        assert gathered is not None and list(map(list, gathered)) == _schema._leaf_columns(shape, records)
+    else:
+        assert gathered is None
