@@ -386,6 +386,7 @@ def test_parse_report_rejects_wrong_shape_with_path(report_doc, path, value, mes
         pytest.param(["distribution", "histogram"], [9], r"^\$\.distribution\.histogram: must be the 10-bin histogram", id="one-bin-histogram"),
         # every other consistency rule, one fault at a time
         pytest.param(["participants", 3, "overall"], -math.inf, r"^\$\.participants\[3\]\.overall: expected a number, got -Infinity$", id="infinite-overall"),
+        pytest.param(["participants", 0, "overall"], math.nan, r"^\$\.participants\[0\]\.overall: expected a number, got NaN$", id="nan-overall"),
         pytest.param(["distribution", "n_max"], 3, r"^\$\.distribution\.n_max: ", id="n-max"),
         pytest.param(["distribution", "n_zero"], 0, r"^\$\.distribution\.n_zero: ", id="n-zero"),
         pytest.param(["participants", 1, "key_goals", "B2"], 1.5, r"^\$\.participants\[1\]\.key_goals\.B2: score 1\.5 is outside \[0, 1\]$", id="score-above-one"),
@@ -613,18 +614,12 @@ def test_parse_report_reads_each_score_bit_for_bit_one_float_per_text_and_none_s
     assert not {*map(id, scores)} & {id(value) for column in second.participants.columns[1:] for value in column}
 
 
-@pytest.mark.parametrize(
-    "number, message",
-    [
-        pytest.param("1e999", r"^\$\.participants\[0\]\.overall: expected a number, got Infinity$", id="overflow"),
-        pytest.param("NaN", r"^\$\.participants\[0\]\.overall: expected a number, got NaN$", id="nan"),
-    ],
-)
-def test_parse_report_names_a_non_finite_score_as_before(scored, structure, responses, number, message):
+def test_parse_report_names_a_score_too_large_for_a_double_as_before(scored, structure, responses):
+    # 1e999 goes through the float cache and loads as inf; json.dumps cannot write it, so the text is edited.
     text = render_report(full_report(scored, structure, responses), "json").decode()
     at = text.index('"overall": ') + len('"overall": ')
-    document = text[:at] + number + text[text.index(",", at) :]
-    with pytest.raises(SchemaError, match=message):
+    document = text[:at] + "1e999" + text[text.index(",", at) :]
+    with pytest.raises(SchemaError, match=r"^\$\.participants\[0\]\.overall: expected a number, got Infinity$"):
         parse_report(document)
     assert _read_or_error(parse_report, document) == _read_or_error(report_reference.parse_report, document)
 
