@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, not_
 from typing import Any
 
@@ -177,13 +178,19 @@ def parse_responses(
     answers and are resolved by the policy, each resolution producing one
     warning. Row order is preserved.
 
-    The records are transposed once into columns. Passes over whole columns
-    check the ids, the unnamed cells and the answer cells, which are read
-    through a {text: code} table of the exact text of each valid code. Only
-    the rows a pass flags (a blank line, a row of another width, a cell
-    outside the table, an empty or repeated id, a cell under an unnamed
-    column) are walked one by one, in row order, with the per-row rules; so
-    the first faulty row in the file is the one reported.
+    Each regular row's answer cells are joined, in questionnaire order, with
+    ",". When every code of the scale is one character (L <= 10), a row is
+    plain if that text has 2k-1 characters for k questions and every even
+    character is a code: a blank cell, or a cell of two or more characters,
+    puts a "," on an even position, so the test is exact. The codes of all
+    plain rows come from one join of their texts, one slice of its even
+    characters and one bytes.translate. Every other row (any row, on a scale
+    of 11 or more levels) is decoded cell by cell through a {text: code} table
+    of the exact text of each valid code. Only the rows flagged (a blank line,
+    a row of another width, a cell outside the table, an empty or repeated
+    id, a cell under an unnamed column) are walked one by one, in row order,
+    with the per-row rules; so the first faulty row in the file is the one
+    reported.
     """
     if isinstance(data, bytes):
         try:
@@ -202,7 +209,7 @@ def parse_responses(
         rows = list(reader)
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise ResponseError(f"cannot read CSV record: {exc}", row=reader.line_num) from None
-    del lines, reader
+    del text, lines, reader
     header = rows.pop(0)
     width = named = len(header)
     while named > 1 and not header[named - 1]:
@@ -210,8 +217,8 @@ def parse_responses(
     question_ids = questionnaire.question_ids()
     _check_header(header[:named], question_ids, demographics)
 
-    # Rows of the header's width become columns of cells; the others, blank
-    # lines or faults, are kept by line number for the row walk.
+    # Rows of the header's width are read in bulk; the others, blank lines or
+    # faults, are kept by line number for the row walk.
     line_of: Sequence[int] = range(2, len(rows) + 2)
     irregular: dict[int, list[str]] = {}
     if not all(map(width.__eq__, map(len, rows))):
@@ -219,13 +226,11 @@ def parse_responses(
         line_of = list(compress(count(2), regular))
         irregular = dict(compress(zip(count(2), rows), map(not_, regular)))
         rows = list(compress(rows, regular))
-    cells = list(zip(*rows)) or [()] * width
-    del rows
 
     flagged: set[int] = set()  # positions among the regular rows
-    for column in cells[named:]:
-        flagged.update(compress(count(), map(str.strip, column)))
-    ids = tuple(map(str.strip, cells[0]))
+    if named < width:
+        flagged.update(position for position, row in enumerate(rows) if "".join(row[named:]).strip())
+    ids = tuple(map(str.strip, map(itemgetter(0), rows)))
     flagged.update(_positions(ids, ""))  # a blank line, or a row without an id
     distinct = set(ids)
     distinct.discard("")
@@ -235,50 +240,58 @@ def parse_responses(
         first_repeat = next(i for i, participant_id in enumerate(ids) if participant_id and (participant_id in seen or seen.add(participant_id)))
         flagged.add(first_repeat)
 
+    # codes holds size codes per regular row, in questionnaire order: bytes,
+    # unless a code may not fit one, with a marker where a code is not known
+    # yet. On a scale whose every code is one character, the codes of plain
+    # rows come from their text, and a row that is not plain gets a marker on
+    # an even character; on any other scale, each cell is decoded through the
+    # table, and the marker stands for a cell outside it.
     column_of = {name: i for i, name in enumerate(header)}
-    max_code = questionnaire.scale.max_code
+    max_code, size = questionnaire.scale.max_code, len(question_ids)
+    answer_cells = _columns([column_of[question_id] for question_id in question_ids])
     code_of = {str(code): code for code in range(max_code + 1)}.get
-    codes = []  # one column per question, questionnaire order; -1 marks a cell outside the table
-    unread = []  # the positions of each column's -1s
-    for question_id in question_ids:
-        codes.append(tuple(map(code_of, cells[column_of[question_id]], repeat(-1))))
-        unread.append(_positions(codes[-1], -1))
-        flagged.update(unread[-1])
-
-    unread_of: dict[int, list[str]] = {}  # the questions of a row whose code is -1, in questionnaire order
-    for question_id, positions in zip(question_ids, unread):
-        for position in positions:
-            unread_of.setdefault(position, []).append(question_id)
+    marker = 255 if max_code < 255 else -1
+    if 0 < size and max_code < 10:
+        length = 2 * size - 1
+        texts = [joined if len(joined) == length else "," * length for joined in map(",".join, map(answer_cells, rows))]
+        to_code = (b"\xff" * 48 + bytes(range(max_code + 1))).ljust(256, b"\xff")  # each code's digit to its code, any other byte to the marker
+        codes = bytearray(",".join(texts)[::2].encode("ascii", "replace").translate(to_code))
+        del texts
+    else:
+        decoded = map(code_of, chain.from_iterable(map(answer_cells, rows)), repeat(marker))
+        codes = bytearray(decoded) if marker == 255 else list(decoded)
+    marked: list[int] = []  # the rows holding a marker: each has a cell outside the table
+    with suppress(ValueError):
+        while True:
+            marked.append(codes.index(marker, (marked[-1] + 1) * size if marked else 0) // size)
+    flagged.update(marked)
 
     warnings: list[str] = []
     dropped: list[int] = []
-    read: dict[int, dict[str, int | None]] = {}  # the answers read in the flagged rows kept
     position_of = dict(zip(map(line_of.__getitem__, flagged), flagged))
     for line_no in sorted([*position_of, *irregular]):
         position = position_of.get(line_no)
-        if position is None:
-            row = irregular[line_no]
-            for cell in row[named:width]:
-                if cell.strip():
-                    raise ResponseError(f"a column without a name must be blank, found {cell!r}", row=line_no, column="")
-            if not row or all(not cell.strip() for cell in row):
-                continue  # ignore fully blank lines
-            raise ResponseError(f"expected {width} cells, found {len(row)}", row=line_no)
-        for column in cells[named:]:
-            if column[position].strip():
-                raise ResponseError(f"a column without a name must be blank, found {column[position]!r}", row=line_no, column="")
-        participant_id = ids[position]
-        if not participant_id and not any(column[position].strip() for column in cells):
-            dropped.append(position)
+        row = irregular[line_no] if position is None else rows[position]
+        for cell in row[named:width]:
+            if cell.strip():
+                raise ResponseError(f"a column without a name must be blank, found {cell!r}", row=line_no, column="")
+        if not any(map(str.strip, row)):
+            if position is not None:
+                dropped.append(position)
             continue  # ignore fully blank lines
+        if position is None:
+            raise ResponseError(f"expected {width} cells, found {len(row)}", row=line_no)
+        participant_id = ids[position]
         if not participant_id:
             raise ResponseError("empty participant_id", row=line_no, column="participant_id")
         if position == first_repeat:
             raise ResponseError(f"duplicate participant_id {participant_id!r}", row=line_no, column="participant_id")
 
-        # Only the cells outside the code table are read; the row's other answers are valid codes, already in their columns.
-        unread_ids = unread_of.get(position, [])
-        answers, missing = _read_answers([cells[column_of[question_id]][position] for question_id in unread_ids], unread_ids, max_code, line_no)
+        # Only the cells outside the code table are read; the row's other answers are valid codes.
+        cells = answer_cells(row)
+        row_codes = list(map(code_of, cells, repeat(marker)))
+        unread_at = [j for j, code in enumerate(row_codes) if code == marker]
+        answers, missing = _read_answers([cells[j] for j in unread_at], [question_ids[j] for j in unread_at], max_code, line_no)
         if missing:
             if policy is MissingPolicy.EXCLUDE_PARTICIPANT:
                 warnings.append(
@@ -291,21 +304,20 @@ def parse_responses(
             )
             for question_id in missing:
                 answers[question_id] = 0
-        read[position] = answers
+        for j in unread_at:
+            row_codes[j] = answers[question_ids[j]]
+        codes[position * size : (position + 1) * size] = row_codes
 
-    for j, question_id in enumerate(question_ids):
-        if unread[j]:  # each in a row that was read or dropped
-            column = list(codes[j])
-            for position in unread[j]:
-                if position in read:
-                    column[position] = read[position][question_id]
-            codes[j] = tuple(column)
-    table = ParticipantTable(tuple(demographics), tuple(question_ids), (ids, *(tuple(map(str.strip, cells[column_of[name]])) for name in demographics), *codes))
-    if dropped:
-        keep = [True] * len(ids)
-        for position in dropped:
-            keep[position] = False
-        table = table.take(list(compress(range(len(ids)), keep)))
+    if dropped:  # dropped rows leave every column: the rows and codes are cut at them, in one pass each
+        spans = list(zip([0, *(position + 1 for position in dropped)], [*dropped, len(rows)]))
+        ids = tuple(chain.from_iterable(ids[start:end] for start, end in spans))
+        rows = list(chain.from_iterable(rows[start:end] for start, end in spans))
+        pieces = [codes[start * size : end * size] for start, end in spans]
+        codes = bytes().join(pieces) if marker == 255 else list(chain.from_iterable(pieces))
+    columns = [tuple(map(str.strip, map(itemgetter(column_of[name]), rows))) for name in demographics]
+    del rows  # the rows are about as large as the code columns: never hold both
+    columns += [tuple(codes[j::size]) for j in range(size)]
+    table = ParticipantTable(tuple(demographics), tuple(question_ids), (ids, *columns))
 
     return ResponseSet(
         questionnaire_version=questionnaire.structure_version,
