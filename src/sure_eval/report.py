@@ -41,9 +41,8 @@ class Participation:
 class ScoreReport:
     """All four score levels plus distribution and participation context.
 
-    participants is the ScoreTable of score_all (kept by build_report) or of
-    parse_report, or any other sequence of ParticipantScore, which the
-    writers read through ScoreTable.of.
+    participants, any sequence of ParticipantScore whose maps hold exactly
+    the tree's ids, is kept as a ScoreTable of those ids (_score_table).
     """
 
     title: str
@@ -56,6 +55,23 @@ class ScoreReport:
     participation: Participation | None
     groups: Mapping[str, Mapping[str, AggregateScores]] | None
     warnings: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "participants", _score_table(self.participants, self.key_goals))
+
+
+def _score_table(scores: Sequence[ParticipantScore], key_goals: Sequence[KeyGoal]) -> ScoreTable:
+    """scores as a ScoreTable of the tree's ids: such a table as it is, any other sequence through ScoreTable.of, once every map is checked to hold exactly those ids, in any order (a ReportError names the first participant whose map does not)."""
+    key_ids, sub_ids = _tree_ids(key_goals)
+    if isinstance(scores, ScoreTable) and (scores.key_ids, scores.sub_ids) == (key_ids, sub_ids):
+        return scores
+    scores = tuple(scores)  # read twice, by the check and by ScoreTable.of
+    fields = ("key_goal_scores", key_ids, {*key_ids}), ("sub_goal_scores", sub_ids, {*sub_ids})
+    for score in scores:
+        for field, ids, id_set in fields:
+            if getattr(score, field).keys() != id_set:
+                raise ReportError(f"participant {score.participant_id!r}: {field} must hold exactly the tree's ids {', '.join(ids)}")
+    return ScoreTable.of(scores, key_ids, sub_ids)
 
 
 def participation_rate(respondents: int, enrolled: int) -> float:
@@ -86,13 +102,12 @@ def build_report(
     per group over that group's participants (means of means would mislead
     with unequal group sizes).
 
-    A ScoreTable is kept as the report's participants; any other sequence of
-    scores is kept as a tuple, as it was given. An overall score outside
-    [0, 1], NaN included, is a ReportError naming its participant.
+    scores, any sequence of ParticipantScore whose maps hold exactly the
+    tree's ids, is kept as a ScoreTable (_score_table). An overall score
+    outside [0, 1], NaN included, is a ReportError naming its participant.
     """
-    if not isinstance(scores, ScoreTable):
-        scores = tuple(scores)
-    overall = scores.overall if isinstance(scores, ScoreTable) else [score.overall for score in scores]
+    scores = _score_table(scores, structure.key_goals)
+    overall = scores.overall
     if not (0.0 <= min(overall, default=0.0) and max(overall, default=0.0) <= 1.0 and isfinite(sum(overall))):  # a NaN makes the sum NaN
         at = next(i for i, value in enumerate(overall) if not 0.0 <= value <= 1.0)
         raise ReportError(f"participant {scores[at].participant_id!r} has overall score {overall[at]!r}, outside [0, 1]")
@@ -109,8 +124,7 @@ def build_report(
     groups: dict[str, dict[str, AggregateScores]] | None = None
     if group_by:
         groups = {}
-        table = ScoreTable.of(scores, *_tree_ids(structure.key_goals))
-        position = dict(zip(table.ids, count()))
+        position = dict(zip(scores.ids, count()))
         for key in group_by:
             if key not in responses.demographics:
                 raise ReportError(f"group_by key {key!r} is not a declared demographic {tuple(responses.demographics)}")
@@ -122,7 +136,7 @@ def build_report(
             values = people.demographic_columns[0]
             # A stable sort by value keeps each group's members in row order, the order its sums run in.
             by_value = groupby(sorted(range(len(values)), key=values.__getitem__), values.__getitem__)
-            groups[key] = {value: aggregate_scores(table.take(list(map(scored.__getitem__, members))), structure) for value, members in by_value}
+            groups[key] = {value: aggregate_scores(scores.take(list(map(scored.__getitem__, members))), structure) for value, members in by_value}
 
     if generated_at is None:
         from datetime import datetime, timezone  # here, so that a run with a fixed stamp never imports datetime
@@ -155,9 +169,7 @@ def render_report(report: ScoreReport, format: str) -> bytes:
     if format == "markdown":
         return _render_markdown(report).encode("utf-8")
     if format == "json":
-        # Written with each score map a record of the tree's ids, so every map is laid out in tree order and one with other ids is a SchemaError.
-        key_ids, sub_ids = _tree_ids(report.key_goals)
-        return _schema.dumps(_report_to_obj(report, _participant_columns(report.participants, key_ids, sub_ids)), _written_shape(key_ids, sub_ids))
+        return _schema.dumps(_report_to_obj(report), _written_shape(*_tree_ids(report.key_goals)))
     if format == "csv":
         return _render_csv(report).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
@@ -276,23 +288,8 @@ def _aggregates_to_obj(agg: AggregateScores) -> dict:
     }
 
 
-def _participant_columns(participants: Sequence[ParticipantScore], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> _schema.Columns | None:
-    """The participants as the json writer's leaf columns: id, overall, then the key-goal and sub-goal scores in tree order.
-
-    None when a hand-made score map is not a dict of exactly the tree's ids:
-    the participants are then written as records, which the writer's check
-    rejects, naming the map's JSON path.
-    """
-    if not (isinstance(participants, ScoreTable) and (participants.key_ids, participants.sub_ids) == (key_ids, sub_ids)):
-        keys, subs = dict.fromkeys(key_ids).keys(), dict.fromkeys(sub_ids).keys()
-        for score in participants:
-            if not (type(score.key_goal_scores) is dict and type(score.sub_goal_scores) is dict and score.key_goal_scores.keys() == keys and score.sub_goal_scores.keys() == subs):
-                return None
-    return _schema.Columns(ScoreTable.of(participants, key_ids, sub_ids).columns)
-
-
-def _report_to_obj(report: ScoreReport, participants: Any = None) -> dict:
-    """The report as the value its json shape describes; participants, if given, stands in for the list of participant records."""
+def _report_to_obj(report: ScoreReport) -> dict:
+    """The report as the value its json shape describes, the participants as the leaf columns of their records."""
     agg = report.aggregates
     return {
         "title": report.title,
@@ -311,15 +308,7 @@ def _report_to_obj(report: ScoreReport, participants: Any = None) -> dict:
             }
             for key_goal in report.key_goals
         ],
-        "participants": [
-            {
-                "id": score.participant_id,
-                "overall": score.overall,
-                "key_goals": score.key_goal_scores,
-                "sub_goals": score.sub_goal_scores,
-            }
-            for score in report.participants
-        ] if participants is None else participants,
+        "participants": _schema.Columns(report.participants.columns),
         "distribution": {
             "n": agg.n_participants,
             "n_max": agg.n_overall_max,
@@ -596,7 +585,7 @@ def _render_csv(report: ScoreReport) -> str:
     out.write("# participants\n")
     key_ids, sub_ids = _tree_ids(report.key_goals)
     writer.writerow(["participant_id", "overall", *key_ids, *sub_ids])
-    _write_participants(out, ScoreTable.of(report.participants, key_ids, sub_ids))
+    _write_participants(out, report.participants)
 
     if report.warnings:
         out.write("# warnings\n")

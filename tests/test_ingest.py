@@ -361,7 +361,7 @@ def test_questionnaire_without_questions_reads_empty_answers(questionnaire):
 
 # --- the column reader against the row-by-row reference ---------------------------
 
-ROW_KINDS = ["row"] * 8 + ["empty line", "spaces", "blank cells", "short", "long"] + ["row"] * 8
+ROW_KINDS = ["row"] * 8 + ["empty line", "spaces", "blank cells", "short", "long"] + ["wide and blank"] * 5 + ["row"] * 8
 
 
 @st.composite
@@ -374,7 +374,9 @@ def response_files(draw):
     blank, padded, signed, two digits long, out of range, quoted with a comma
     inside or not integers; the header may end in unnamed columns, whose
     cells are mostly blank. Scales have 2 to 12 levels, so some codes have
-    two digits.
+    two digits. A "wide and blank" row, of two or more questions, has no
+    fault but one answer of two code digits and one blank answer: joined
+    without a separator, its answers are as long as a plain row's codes.
     """
     levels = draw(st.integers(2, 12))
     questionnaire = Questionnaire(
@@ -388,11 +390,17 @@ def response_files(draw):
     answers = st.sampled_from(codes * 4 + ["", " ", " 1 ", "01", "+1", "-0", "-1", str(levels), "1.0", "x", "\u0663", "1_0", "10", "11", "12", '"1,"', '",1"', '","', '"1,2"'] + codes * 4)
     lines = []
     for i in range(draw(st.integers(0, 6))):
-        cells = {"participant_id": draw(st.sampled_from([f"P{i}"] * 8 + [f" P{i} ", "P0", "", " "] + [f"P{i}"] * 8)), "": ""}
+        kind = draw(st.sampled_from(ROW_KINDS))  # drawn first: a wide and blank row's id and unnamed cells are not drawn
+        wide_and_blank = kind == "wide and blank" and len(questionnaire.questions) > 1
+        cells = {"participant_id": f"P{i}" if wide_and_blank else draw(st.sampled_from([f"P{i}"] * 8 + [f" P{i} ", "P0", "", " "] + [f"P{i}"] * 8))}
         cells.update((name, draw(st.sampled_from(["a", " b ", "", "c d"]))) for name in demographics)
-        cells.update((question_id, draw(answers)) for question_id in questionnaire.question_ids())
-        row = [cells[name] if name else draw(st.sampled_from([""] * 8 + ["x"] + [" "] * 8)) for name in header]
-        kind = draw(st.sampled_from(ROW_KINDS))
+        if wide_and_blank:
+            wide, blank, *others = draw(st.permutations(questionnaire.question_ids()))
+            cells.update((question_id, draw(st.sampled_from(codes))) for question_id in others)
+            cells[wide], cells[blank] = draw(st.sampled_from(codes[:10])) + draw(st.sampled_from(codes[:10])), ""
+        else:
+            cells.update((question_id, draw(answers)) for question_id in questionnaire.question_ids())
+        row = [cells[name] if name else "" if wide_and_blank else draw(st.sampled_from([""] * 8 + ["x"] + [" "] * 8)) for name in header]
         if kind == "empty line" or kind == "spaces":
             row = [" " * (kind == "spaces")]
         elif kind == "blank cells":

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -229,18 +230,55 @@ def test_json_writes_a_score_map_in_tree_order(scored, structure, responses):
     assert parse_report(data) == reordered
 
 
-@pytest.mark.parametrize(
-    "field, change, message",
-    [
-        ("key_goal_scores", lambda scores: {key: value for key, value in scores.items() if key != "B4"}, r"^\$\.participants\[0\]\.key_goals: missing field\(s\): B4$"),
-        ("sub_goal_scores", lambda scores: {**scores, "A99": 0.5}, r"^\$\.participants\[0\]\.sub_goals: unknown field\(s\): A99$"),
-    ],
-)
-def test_json_render_rejects_a_score_map_without_the_tree_ids(scored, structure, responses, field, change, message):
+MISFITS = [
+    pytest.param("key_goal_scores", lambda scores: {key: value for key, value in scores.items() if key != "B4"}, id="without-B4"),
+    pytest.param("sub_goal_scores", lambda scores: {**scores, "A99": 0.5}, id="with-A99"),
+]
+
+
+@pytest.mark.parametrize("field, change", MISFITS)
+@pytest.mark.parametrize("entry", ["build_report", "build_report-group_by", "ScoreReport", "replace"])
+def test_a_score_map_without_exactly_the_tree_ids_is_a_report_error(scored, structure, responses, field, change, entry):
+    # regression: markdown rendered such a map; csv raised a bare KeyError or dropped the extra id; json raised a SchemaError
+    scores, aggregates = scored
     report = full_report(scored, structure, responses)
-    report = _with_first_participant(report, **{field: change(getattr(report.participants[0], field))})
-    with pytest.raises(SchemaError, match=message):
-        render_report(report, "json")
+    misfit = [replace(scores[0], **{field: change(getattr(scores[0], field))}), *scores[1:]]
+    make = {
+        "build_report": lambda: build_report(misfit, aggregates, structure, responses, generated_at=""),
+        "build_report-group_by": lambda: build_report(misfit, aggregates, structure, responses, group_by=["gender"], generated_at=""),
+        "ScoreReport": lambda: ScoreReport(**{**vars(report), "participants": misfit}),
+        "replace": lambda: replace(report, participants=misfit),
+    }[entry]
+    ids = ", ".join(_tree_ids(structure.key_goals)[field == "sub_goal_scores"])
+    with pytest.raises(ReportError) as caught:
+        make()
+    assert str(caught.value) == f"participant 'S001': {field} must hold exactly the tree's ids {ids}"
+
+
+def test_report_participants_are_a_score_table_of_the_tree_ids(scored, structure, responses):
+    scores, aggregates = scored
+    key_ids, sub_ids = _tree_ids(structure.key_goals)
+    report = full_report(scored, structure, responses, group_by=["gender"])
+    assert report.participants is scores
+    first = scores[0]
+    for each in (
+        build_report(list(scores), aggregates, structure, responses, group_by=["gender"], generated_at=""),
+        build_report(tuple(scores), aggregates, structure, responses, generated_at=""),
+        build_report(iter(scores), aggregates, structure, responses, generated_at=""),  # read once, not once per pass
+        replace(report, participants=tuple(scores)),
+        replace(report, participants=(replace(first, key_goal_scores=MappingProxyType(first.key_goal_scores)), *scores[1:])),
+        parse_report(render_report(report, "json")),
+    ):
+        assert type(each.participants) is ScoreTable
+        assert (each.participants.key_ids, each.participants.sub_ids) == (key_ids, sub_ids)
+        assert each.participants.columns == scores.columns
+
+    # A table of the tree's ids in another order is laid out in tree order, and written as the original.
+    reversed_table = ScoreTable(key_ids[::-1], sub_ids[::-1], (scores.ids, scores.overall, *scores.key_columns[::-1], *scores.sub_columns[::-1]))
+    moved = replace(report, participants=reversed_table)
+    assert (moved.participants.key_ids, moved.participants.sub_ids, moved.participants.columns) == (key_ids, sub_ids, scores.columns)
+    for format in ("csv", "json"):
+        assert render_report(moved, format) == render_report(report, format)
 
 
 def test_json_render_rejects_a_group_score_map_without_the_tree_ids(scored, structure, responses):
@@ -305,7 +343,8 @@ def reports(draw):
 @given(reports())
 def test_json_render_is_json_dumps_and_round_trips(report):
     data = render_report(report, "json")
-    assert data == (json.dumps(_report_to_obj(report), indent=2, ensure_ascii=False) + "\n").encode()
+    records = [{"id": score.participant_id, "overall": score.overall, "key_goals": score.key_goal_scores, "sub_goals": score.sub_goal_scores} for score in report.participants]
+    assert data == (json.dumps({**_report_to_obj(report), "participants": records}, indent=2, ensure_ascii=False) + "\n").encode()
     assert parse_report(data) == report
 
 
