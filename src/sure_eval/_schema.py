@@ -307,36 +307,28 @@ def batches(pieces: Iterator[str]) -> Iterator[str]:
 class Reprs(dict):
     """repr(value) for each float looked up, computed once per distinct value, zeros included.
 
-    Keys that compare equal share one text, so only floats may be looked up:
-    an int 0 or 1, or a bool, would take, or leave, the text of 0.0 or 1.0.
-    texts() therefore reads a column through the cache only when it holds
-    nothing but floats. And 0.0 and -0.0 have different reprs, so it also
-    needs one C-level pass over the column's bytes to find no -0.0 in it; the
-    cache then only ever holds a zero as "0.0".
+    Keys that compare equal share one text, so only floats may be looked up
+    (an int 0 or 1, or a bool, would take, or leave, the text of 0.0 or 1.0):
+    texts() is given only columns that check() has found all floats. And 0.0
+    and -0.0 have different reprs, so texts() makes one C-level pass over the
+    column's bytes to find no -0.0 in it; the cache only holds a zero as "0.0".
     """
 
     def __missing__(self, value: float) -> str:
         self[value] = text = repr(value)
         return text
 
-    def texts(self, values: Sequence, other: Callable[[Any], str] = repr) -> Iterator[str]:
-        """The repr of each of a column of floats; other(value) of each value of a column that is not all floats."""
-        if not {*map(type, values)} <= {float}:
-            return map(other, values)
-        if _has_negative_zero(values):
-            return map(repr, values)
-        return map(self.__getitem__, values)
+    def texts(self, values: Sequence[float]) -> Iterator[str]:
+        """The repr of each of a column of floats."""
+        return map(repr if _has_negative_zero(values) else self.__getitem__, values)
 
 
 _NEGATIVE_ZERO = struct.pack("d", -0.0)
 
 
 def _has_negative_zero(values: Sequence[float]) -> bool:
-    """Whether values holds a -0.0, or something that is not a number (which then goes through repr as well)."""
-    try:
-        data = struct.pack(f"{len(values)}d", *values)
-    except struct.error:
-        return True
+    """Whether a column of floats holds a -0.0."""
+    data = struct.pack(f"{len(values)}d", *values)
     at = data.find(_NEGATIVE_ZERO)
     while at > 0 and at % len(_NEGATIVE_ZERO):  # a match across two values
         at = data.find(_NEGATIVE_ZERO, at + 1)

@@ -13,8 +13,8 @@ import enum
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import itemgetter, not_
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 from .errors import ResponseError
@@ -217,17 +217,13 @@ def parse_responses(
     question_ids = questionnaire.question_ids()
     _check_header(header[:named], question_ids, demographics)
 
-    # Rows of the header's width are read in bulk; the others, blank lines or
-    # faults, are kept by line number for the row walk.
-    line_of: Sequence[int] = range(2, len(rows) + 2)
-    irregular: dict[int, list[str]] = {}
-    if not all(map(width.__eq__, map(len, rows))):
-        regular = list(map(width.__eq__, map(len, rows)))
-        line_of = list(compress(count(2), regular))
-        irregular = dict(compress(zip(count(2), rows), map(not_, regular)))
-        rows = list(compress(rows, regular))
-
-    flagged: set[int] = set()  # positions among the regular rows
+    # A row of another width, a blank line or a fault, is kept by position for the
+    # row walk; a blank row of the header's width takes its place in the bulk passes.
+    line_of = range(2, len(rows) + 2)
+    irregular = {} if all(map(width.__eq__, map(len, rows))) else {position: row for position, row in enumerate(rows) if len(row) != width}
+    for position in irregular:
+        rows[position] = [""] * width
+    flagged = set(irregular)  # the positions of the rows walked one by one
     if named < width:
         flagged.update(position for position, row in enumerate(rows) if "".join(row[named:]).strip())
     ids = tuple(map(str.strip, map(itemgetter(0), rows)))
@@ -268,18 +264,16 @@ def parse_responses(
 
     warnings: list[str] = []
     dropped: list[int] = []
-    position_of = dict(zip(map(line_of.__getitem__, flagged), flagged))
-    for line_no in sorted([*position_of, *irregular]):
-        position = position_of.get(line_no)
-        row = irregular[line_no] if position is None else rows[position]
+    for position in sorted(flagged):
+        line_no = line_of[position]
+        row = irregular.get(position, rows[position])
         for cell in row[named:width]:
             if cell.strip():
                 raise ResponseError(f"a column without a name must be blank, found {cell!r}", row=line_no, column="")
         if not any(map(str.strip, row)):
-            if position is not None:
-                dropped.append(position)
+            dropped.append(position)
             continue  # ignore fully blank lines
-        if position is None:
+        if position in irregular:
             raise ResponseError(f"expected {width} cells, found {len(row)}", row=line_no)
         participant_id = ids[position]
         if not participant_id:

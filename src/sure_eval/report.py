@@ -166,11 +166,13 @@ def _histogram(overalls: Iterable[float]) -> tuple[int, ...]:
 
 
 def render_report(report: ScoreReport, format: str) -> bytes:
+    """The report as markdown, json or csv bytes; json and csv are first checked against the json layout, so both refuse a report that does not fit it (an id that is not a string, a score that is not a finite float) with the same SchemaError before writing anything, while markdown, which writes only rounded aggregates, is not checked."""
     if format == "markdown":
         return _render_markdown(report).encode("utf-8")
     if format == "json":
         return _schema.dumps(_report_to_obj(report), _written_shape(*_tree_ids(report.key_goals)))
     if format == "csv":
+        _schema.check(_report_to_obj(report), _written_shape(*_tree_ids(report.key_goals)))
         return _render_csv(report).encode("utf-8")
     raise ValueError(f"unknown format {format!r}; expected one of {RENDER_FORMATS}")
 
@@ -604,24 +606,21 @@ _MAY_QUOTE = re.compile('[,"\r\n\0]')
 def _write_participants(out: io.StringIO, table: ScoreTable) -> None:
     """Write the participants' rows as csv.writer would, each joined from one column of cell texts per slot, commas between them and a line end.
 
-    A float score's text is its repr, through the json writer's repr cache.
-    Only the cells csv.writer might write otherwise take their text from it:
-    an id that is not a string or holds a character it may quote, and each
-    score of a column that is not all floats (a sub-goal score's repr, as the
-    writer has always written them; the overall and key-goal scores as they are).
+    The table has passed the json layout's check, so every id is a string and
+    every score a finite float, whose text is its repr, through the json
+    writer's repr cache. Only an id holding a character csv.writer may quote
+    takes its text from csv.writer.
     """
     ids = table.ids
     id_texts = list(ids)
-    for i in compress(count(), map(_MAY_QUOTE.search, ids) if {*map(type, ids)} <= {str} else repeat(True, len(ids))):
+    for i in compress(count(), map(_MAY_QUOTE.search, ids)):
         id_texts[i] = _csv_cell(ids[i])
-    reprs = _schema.Reprs()
-    score_texts = [reprs.texts(column, _csv_cell) for column in (table.overall, *table.key_columns)]
-    score_texts += [reprs.texts(column, lambda value: _csv_cell(repr(value))) for column in table.sub_columns]
+    score_texts = list(map(_schema.Reprs().texts, table.columns[1:]))  # one repr cache for every column
     parts = ["", *repeat(",", len(score_texts)), "\n"]
     out.writelines(_schema.batches(_schema.filled(parts, [id_texts, *score_texts])))
 
 
-def _csv_cell(value: Any) -> str:
+def _csv_cell(value: str) -> str:
     """The text csv.writer writes for value as one cell of a row of several."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow((value, ""))

@@ -301,9 +301,10 @@ def test_criterion_7_report_golden_files(sample_files, tmp_path, capsys):
         assert rendered["json"] == (GOLDEN_DIR / "online_course.report.json").read_bytes()
         assert rendered["csv"] == (GOLDEN_DIR / "online_course.report.csv").read_bytes()
 
-        # lossless json round-trip
+        # lossless json round-trip: the report read back writes every golden
         report = parse_report(rendered["json"])
-        assert render_report(report, "json") == rendered["json"]
+        for fmt in ("json", "csv", "markdown"):
+            assert render_report(report, fmt) == rendered[fmt]
 
         # key-goal table lists B1..B4 in order at two decimals
         table_rows = [

@@ -10,9 +10,10 @@ from hypothesis import given, strategies as st
 from sure_eval import _schema
 from sure_eval._schema import Columns, Nullable, check, dumps
 from sure_eval.errors import SchemaError
-from sure_eval.goal_structure import STRUCTURE_SHAPE
+from sure_eval.goal_structure import STRUCTURE_SHAPE, KeyGoal, SubGoal
 from sure_eval.questionnaire import QUESTIONNAIRE_SHAPE
-from sure_eval.report import REPORT_SHAPE, _report_shape
+from sure_eval.report import REPORT_SHAPE, ScoreReport, _report_shape, render_report
+from sure_eval.scoring import AggregateScores, ScoreTable
 
 SHAPES = {"structure": STRUCTURE_SHAPE, "questionnaire": QUESTIONNAIRE_SHAPE, "report": REPORT_SHAPE}
 GOLDEN_REPORT = Path(__file__).parent / "goldens" / "online_course.report.json"
@@ -192,11 +193,15 @@ def test_the_repr_cache_keeps_zeros_and_writes_a_negative_zero_as_one():
 
 
 def test_the_repr_cache_reads_only_a_column_of_floats():
-    # regression: 0 == 0.0 == False and 1 == 1.0 == True are one key, so an int or bool column in the cache wrote 0.0 as "0" and 1.0 as "True"
-    reprs = _schema.Reprs()
-    for column in ([0, 1, 0.0, 1.0, -0.0, True], [0, 1, 0.0, 1.0, True]):
-        assert list(reprs.texts(column)) == list(map(repr, column))
-    assert reprs == {}
+    # regression: 0 == 0.0 == False and 1 == 1.0 == True are one key, so an int or bool column in the cache wrote 0.0 as "0" and 1.0 as "True";
+    # both report writers now refuse such a column before any text is written
+    key_goals = (KeyGoal("K1", "k", (SubGoal("S1", "s", "K1"),)),)
+    column = (0, 1, 0.0, 1.0, -0.0, True)
+    table = ScoreTable(("K1",), ("S1",), (tuple(f"P{i}" for i in range(6)), (0.5,) * 6, (0.5,) * 6, column))
+    report = ScoreReport("t", "1", "", AggregateScores(0.5, {"K1": 0.5}, {"S1": 0.5}, 6, 0, 0), key_goals, table, (0,) * 5 + (6,) + (0,) * 4, None, None, ())
+    for format in ("json", "csv"):
+        with pytest.raises(SchemaError, match=r"^\$\.participants\[0\]\.sub_goals\.S1: expected a number, got integer$"):
+            render_report(report, format)
 
 
 def test_a_negative_zero_is_found_only_where_a_value_starts():
@@ -204,7 +209,6 @@ def test_a_negative_zero_is_found_only_where_a_value_starts():
     straddling = struct.unpack("<d", b"\x80" + bytes(5) + b"\xe0\x3f")[0]
     assert not _schema._has_negative_zero((0.0, straddling, 0.5))
     assert _schema._has_negative_zero((0.0, straddling, -0.0))
-    assert _schema._has_negative_zero((0.5, "not a number"))
 
 
 def test_finite_floats_fit_when_their_sum_overflows():
