@@ -18,13 +18,11 @@ The loaders give one float per distinct number text in a document.
 
 ``dumps(value, shape)`` checks a value against the same shape and then
 writes it, in the shape's field order with two-space indentation, so the
-reader accepts the layout of every document the writer writes. A record
-whose fields are leaves, or records of such fields, compiles into the literal
-texts around one slot per leaf; an array or map of such records joins them
-once per element with one column of texts per leaf. An array of such records
-may also be given as ``Columns``, its leaf columns themselves, which is checked
-and written column by column without a record per element. Floats are
-formatted through one repr cache per call, because scores repeat.
+reader accepts the layout of every document the writer writes. Only an
+array given as ``Columns``, the leaf columns of its records, is written by
+row template: the literal texts of its record shape filled with one column of
+leaf texts per slot, its floats through one repr cache per call, because
+scores repeat. Every other value is written by walking its shape.
 """
 
 from __future__ import annotations
@@ -283,9 +281,11 @@ def dumps(value: Any, shape: Any) -> bytes:
     bytes are those of ``json.dumps(value, indent=2, ensure_ascii=False) + "\n"``;
     a record is written in its shape's field order, whatever its own order.
 
-    The text comes in pieces, a record field by field and an array or map
-    element by element, which are joined 128 at a time, encoded, and the bytes
-    joined once, so the only copy of the whole text is the bytes returned.
+    Only an array given as Columns is written by row template, from its leaf
+    columns; every other value is written by walking its shape. The text
+    comes in pieces, a record field by field and an array or map element by
+    element, which are joined 128 at a time, encoded, and the bytes joined
+    once, so the only copy of the whole text is the bytes returned.
     Joining a field on its own and copying it into the document made two to
     four copies of a 25k-row report's 15 MB participants array, and how many
     were alive at once depended on how the allocator reused freed blocks, so
@@ -336,78 +336,51 @@ def _has_negative_zero(values: Sequence[float]) -> bool:
 
 
 def _writer(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterable[str]]:
-    """Compile shape into a function giving the text of one checked value in pieces; pad is the newline and indentation of the value's own line."""
-    texts = _texts(shape, pad, reprs)
-    if texts is not None:
-        return lambda value: texts((value,))
-    if type(shape) is Nullable:
+    """Compile shape into a function giving the text of one checked value in pieces, by walking the shape, but for an array given as Columns, whose elements fill one row template (_parts) from its leaf columns; pad is the newline and indentation of the value's own line."""
+    kind = type(shape)
+    if kind is type or kind is tuple:
+        text = _LEAF_TEXTS.get(shape, encode_basestring)
+        return lambda value: (text(value),)
+    if kind is Nullable:
         write = _writer(shape.shape, pad, reprs)
         return lambda value: ("null",) if value is None else write(value)
     inner = pad + "  "
-    if type(shape) is list or str in shape:
-        is_map = type(shape) is dict
-        item = shape[str] if is_map else shape[0]
-        item_texts = _texts(item, inner, reprs) or partial(_joined_each, _writer(item, inner, reprs))
-        empty = "{}" if is_map else "[]"
-        open_, separator, close = empty[0] + inner, "," + inner, pad + empty[1]
+    if kind is dict and str not in shape:
+        if not shape:
+            return lambda value: ("{}",)
+        fields = [((("," if i else "{") + inner + encode_basestring(name) + ": ",), name, _writer(field, inner, reprs)) for i, (name, field) in enumerate(shape.items())]
+        close = (pad + "}",)
+        return lambda value: chain(*[pieces for prefix, name, write in fields for pieces in (prefix, write(value[name]))], close)
+    is_map = kind is dict
+    item = shape[str] if is_map else shape[0]
+    write = _writer(item, inner, reprs)
+    parts = _parts(item, inner)
+    slot_texts = [reprs.texts if leaf is float else partial(map, _LEAF_TEXTS.get(leaf, encode_basestring)) for leaf in _leaves(item)] if parts else None
+    empty = "{}" if is_map else "[]"
+    open_, separator, close = empty[0] + inner, "," + inner, pad + empty[1]
 
-        def container(value: Any) -> Iterable[str]:
-            if not value:
-                return (empty,)
-            elements = map("{}: {}".format, map(encode_basestring, value), item_texts(value.values())) if is_map else item_texts(value)
-            return chain((open_, next(elements)), chain.from_iterable(zip(repeat(separator), elements)), (close,))
+    def container(value: Any) -> Iterable[str]:
+        if not value:
+            return (empty,)
+        if type(value) is Columns:
+            elements = filled(parts, [texts(column) for texts, column in zip(slot_texts, value.leaves)])
+        elif is_map:
+            elements = map("{}: {}".format, map(encode_basestring, value), map("".join, map(write, value.values())))
+        else:
+            elements = map("".join, map(write, value))
+        return chain((open_, next(elements)), chain.from_iterable(zip(repeat(separator), elements)), (close,))
 
-        return container
-    fields = [(("," if i else "{") + inner + encode_basestring(name) + ": ", name, _writer(field, inner, reprs)) for i, (name, field) in enumerate(shape.items())]
-    close = pad + "}"
-
-    def record(value: dict) -> Iterator[str]:
-        for prefix, name, write in fields:
-            yield prefix
-            yield from write(value[name])
-        yield close
-
-    return record
-
-
-def _joined_each(write: Callable[[Any], Iterable[str]], values: Iterable) -> Iterator[str]:
-    """The text of each of values, joined from the pieces write gives: the elements of a container that no slots write."""
-    return map("".join, map(write, values))
+    return container
 
 
-_LEAF_TEXTS = {str: encode_basestring, int: int.__repr__}
-
-
-def _texts(shape: Any, pad: str, reprs: Reprs) -> Callable[[Any], Iterator[str]] | None:
-    """For a leaf, or a record whose fields are leaves or such records, a function giving the text of each of a sequence of checked values, or of Columns; None for any other shape.
-
-    A record's text joins its literal parts with one column of leaf texts
-    per slot (filled): one join per value, and no Python-level call but for
-    the repr cache's misses.
-    """
-    parts = _parts(shape, pad)
-    if parts is None:
-        return None
-    writers = [reprs.texts if leaf is float else partial(map, _LEAF_TEXTS.get(leaf, encode_basestring)) for leaf in _leaves(shape)]
-
-    def texts(values: Any) -> Iterator[str]:
-        columns = values.leaves if type(values) is Columns else _leaf_columns(shape, list(values))
-        text_columns = [write(column) for write, column in zip(writers, columns)]
-        if parts is _LEAF_PARTS:
-            return text_columns[0]
-        return filled(parts, text_columns) if text_columns else repeat(parts[0], len(values))
-
-    return texts
-
-
-_LEAF_PARTS = ("", "")
+_LEAF_TEXTS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
 
 
 def _parts(shape: Any, pad: str) -> Sequence[str] | None:
     """The literal texts before, between and after the slots of a leaf or of a record of leaves and such records, one slot per leaf; None for any other shape."""
     kind = type(shape)
     if kind is type or kind is tuple:
-        return _LEAF_PARTS
+        return ("", "")
     if kind is not dict or str in shape:
         return None
     inner = pad + "  "
@@ -427,9 +400,3 @@ def filled(parts: Sequence[str], columns: Sequence[Iterable[str]]) -> Iterator[s
     pieces = [piece for part, column in zip(parts, columns) for piece in ((repeat(part), column) if part else (column,))]
     return map("".join, zip(*pieces, repeat(parts[-1])))
 
-
-def _leaf_columns(shape: Any, values: list) -> list[list]:
-    """The columns of leaf values, in slot order, of a list of values of a leaf or record shape."""
-    if type(shape) is not dict:
-        return [values]
-    return [column for name, field in shape.items() for column in _leaf_columns(field, list(map(itemgetter(name), values)))]

@@ -25,7 +25,6 @@ import os
 import sys
 from contextlib import suppress
 from pathlib import Path
-from typing import Any
 
 from ._schema import RENDER_FORMATS
 from .errors import InvalidStructureError, NoDataError, NotConfirmedError, SchemaError, SureError
@@ -36,21 +35,6 @@ from .questionnaire import (
     serialize_questionnaire,
     validate_questionnaire,
 )
-
-# What only score and simulate use is read as an attribute of this module,
-# which takes it from the package, which imports it on first use (PEP 562):
-# the other commands start without the ingest, scoring and report modules,
-# or csv, decimal and datetime.
-_LAZY = ("MissingPolicy", "parse_responses", "score_all", "build_report", "render_report", "simulate_responses")
-
-
-def __getattr__(name: str) -> Any:
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
-
-
-_lazy = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -149,20 +133,23 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    # From the package, which imports them on first use (PEP 562): the other commands start without ingest, scoring and report.
+    from . import MissingPolicy, build_report, parse_responses, render_report, score_all
+
     structure, questionnaire, violations = _documents(args)
     if violations:
         return _report_violations(violations, EXIT_INPUT)
-    responses = _lazy.parse_responses(
+    responses = parse_responses(
         _read(args.responses, "response CSV"),
         questionnaire,
         demographics=args.demographics,
-        policy=_lazy.MissingPolicy(_POLICIES[args.policy]),
+        policy=MissingPolicy(_POLICIES[args.policy]),
     )
     for warning in responses.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    scores, aggregates = _lazy.score_all(responses, questionnaire, structure)
-    report = _lazy.build_report(
+    scores, aggregates = score_all(responses, questionnaire, structure)
+    report = build_report(
         scores,
         aggregates,
         structure,
@@ -171,7 +158,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         group_by=args.group_by or None,
         generated_at="" if args.reproducible else None,
     )
-    data = _lazy.render_report(report, args.format)
+    data = render_report(report, args.format)
     if args.out:
         _write_atomic(args.out, data, "report")
     else:
@@ -183,10 +170,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.participants < 1:
         _fail("--participants must be at least 1")
         return EXIT_INPUT
+    from . import simulate_responses
+
     _, questionnaire, violations = _documents(args)
     if violations:
         return _report_violations(violations, EXIT_INPUT)
-    _write_atomic(args.out, _lazy.simulate_responses(questionnaire, args.participants, args.seed), "response CSV")
+    _write_atomic(args.out, simulate_responses(questionnaire, args.participants, args.seed), "response CSV")
     _write_stdout(b"wrote %d participants to %s\n" % (args.participants, os.fsencode(args.out)), "summary")
     return EXIT_OK
 

@@ -282,12 +282,11 @@ def test_simulate_feeds_score(sample_files, tmp_path, capsys):
 
 def test_internal_errors_exit_three(sample_files, capsys, monkeypatch):
     structure, questionnaire, responses = sample_files
-    import sure_eval.cli as cli_module
 
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli_module, "score_all", boom)
+    monkeypatch.setattr(sure_eval, "score_all", boom)
     code, out, err = run(capsys, "score", structure, questionnaire, responses, "--demographics", "gender")
     assert code == 3
     assert "internal error" in err
@@ -404,12 +403,11 @@ def test_failure_exit_code_and_stderr(broken_inputs, capsys, argv, expected_code
 
 def test_internal_error_message(sample_files, capsys, monkeypatch):
     structure, questionnaire, responses = sample_files
-    import sure_eval.cli as cli_module
 
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli_module, "score_all", boom)
+    monkeypatch.setattr(sure_eval, "score_all", boom)
     code, out, err = run(capsys, "score", structure, questionnaire, responses, "--demographics", "gender")
     assert (code, err) == (3, EXCLUDED_S004 + "error: internal error: RuntimeError('boom')\n")
 

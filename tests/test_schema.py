@@ -242,6 +242,13 @@ def in_order(value, shape):
     return list(value) == list(shape) and all(in_order(value[name], field) for name, field in shape.items())
 
 
+def leaf_columns(shape, values):
+    """The columns of leaf values, in slot order, of a list of values of a leaf or record shape: what Columns holds and columns_of gives."""
+    if type(shape) is not dict:
+        return [values]
+    return [column for name, field in shape.items() for column in leaf_columns(field, [value[name] for value in values])]
+
+
 RECORD_SHAPES = {
     "participant": TREE_REPORT_SHAPE["participants"][0],
     "mixed": {"a": str, "b": {"c": int, "d": float, "e": ("x", "y")}, "f": float},
@@ -265,6 +272,30 @@ def test_columns_of_gathers_exactly_the_records_that_fit_with_their_fields_in_or
         holder[key] = dict(reversed(holder[key].items()))
     gathered = _schema.columns_of(records, shape)
     if _schema.fits(records, [shape]) and all(in_order(record, shape) for record in records):
-        assert gathered is not None and list(map(list, gathered)) == _schema._leaf_columns(shape, records)
+        assert gathered is not None and list(map(list, gathered)) == leaf_columns(shape, records)
     else:
         assert gathered is None
+
+
+# Records whose fields are leaves or such records, with a float among their leaves: what Columns may stand for, with a column the repr cache writes.
+RECORDS_OF_LEAVES = st.dictionaries(
+    TEXT, st.recursive(st.sampled_from([str, int, float, ("x", "y\n", "\u2028")]), lambda fields: st.dictionaries(TEXT, fields, max_size=3), max_leaves=6), min_size=1, max_size=3
+).filter(lambda shape: float in _schema._leaves(shape))
+
+
+def record_values(shape):
+    """Values of a record of leaves, with fields in the shape's order and zeros of both signs among the floats."""
+    if shape is float:
+        return st.sampled_from([0.0, -0.0]) | values(float)
+    if type(shape) is dict:
+        return st.fixed_dictionaries({name: record_values(field) for name, field in shape.items()}).map(lambda record: {name: record[name] for name in shape})
+    return values(shape)
+
+
+@given(data=st.data())
+def test_columns_and_the_equal_list_of_records_write_the_same_bytes(data):
+    shape = data.draw(RECORDS_OF_LEAVES, label="shape")
+    records = data.draw(st.lists(record_values(shape), max_size=6), label="records")
+    written = (json.dumps(records, indent=2, ensure_ascii=False) + "\n").encode()
+    assert dumps(records, [shape]) == written
+    assert dumps(Columns(leaf_columns(shape, records)), [shape]) == written
