@@ -13,7 +13,8 @@ whether it fits. One fit test decides what a shape admits: it takes a list of va
 each. Only a document that does not fit is walked, with the same test on
 slices of its arrays and maps (bisection) and on its fields in turn, to name
 the first misfit and word its problem. ``columns_of`` reads an array of
-records that fits, each with its fields in order, straight into leaf columns.
+records that fits, each with its fields in order, straight into leaf
+columns: every record field is its own column, tested by the one leaf rule.
 The loaders give one float per distinct number text in a document.
 
 ``dumps(value, shape)`` checks a value against the same shape and then
@@ -163,22 +164,18 @@ def columns_of(values: Sequence, shape: Any) -> list[Sequence] | None:
 
     Each level of records takes one pass: one compare of all its records'
     names, flattened, with the shape's repeated, and one tuple of all their
-    values, whose strided slices are the fields' columns. Each leaf column is
-    tested by _all_fit, but a record whose fields share one leaf shape, as a
-    record of scores does, has that one tuple tested.
+    values, whose strided slices are the fields' columns. Each field is one
+    column, and each leaf column is tested by _all_fit, the one leaf rule.
     """
     if type(shape) is not dict:
         return [values] if _all_fit(values, shape) else None
-    names, fields = tuple(shape), [*shape.values()]
+    names = tuple(shape)
     if not ({*map(type, values)} <= {dict} and tuple(chain.from_iterable(values)) == names * len(values)):  # no record repeats a name, so each then holds exactly these
         return None
     flat = tuple(chain.from_iterable(map(dict.values, values)))
-    columns = [flat[j :: len(names)] for j in range(len(names))]
-    if len(fields) > 1 and fields.count(fields[0]) == len(fields) and type(fields[0]) is not dict:
-        return columns if _all_fit(flat, fields[0]) else None
     leaves: list[Sequence] = []
-    for column, field in zip(columns, fields):
-        field_leaves = columns_of(column, field)
+    for j, field in enumerate(shape.values()):
+        field_leaves = columns_of(flat[j :: len(names)], field)
         if field_leaves is None:
             return None
         leaves += field_leaves
@@ -210,9 +207,6 @@ def _all_fit(values: list, shape: Any) -> bool:
     names = tuple(shape)
     if not (all(map(names.__eq__, map(tuple, values))) or all(map(shape.keys().__eq__, map(dict.keys, values)))):  # the fields in order, else in any order
         return False
-    fields = [*shape.values()]
-    if len(fields) > 1 and fields.count(fields[0]) == len(fields):  # one shape for every field, as in a record of scores: one column
-        return _all_fit(list(chain.from_iterable(map(dict.values, values))), fields[0])
     return all(_all_fit(list(map(itemgetter(name), values)), field) for name, field in shape.items())
 
 

@@ -13,8 +13,8 @@ import enum
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, not_
 from typing import Any
 
 from .errors import ResponseError
@@ -227,7 +227,7 @@ def parse_responses(
     if named < width:
         flagged.update(position for position, row in enumerate(rows) if "".join(row[named:]).strip())
     ids = tuple(map(str.strip, map(itemgetter(0), rows)))
-    flagged.update(_positions(ids, ""))  # a blank line, or a row without an id
+    flagged.update(compress(count(), map(not_, ids)))  # a blank line, or a row without an id
     distinct = set(ids)
     distinct.discard("")
     first_repeat = None
@@ -283,9 +283,8 @@ def parse_responses(
 
         # Only the cells outside the code table are read; the row's other answers are valid codes.
         cells = answer_cells(row)
-        row_codes = list(map(code_of, cells, repeat(marker)))
-        unread_at = [j for j, code in enumerate(row_codes) if code == marker]
-        answers, missing = _read_answers([cells[j] for j in unread_at], [question_ids[j] for j in unread_at], max_code, line_no)
+        row_codes = [_read_answer(cell, question_id, max_code, line_no) if code is None else code for cell, question_id, code in zip(cells, question_ids, map(code_of, cells))]
+        missing = [question_id for question_id, code in zip(question_ids, row_codes) if code is None]
         if missing:
             if policy is MissingPolicy.EXCLUDE_PARTICIPANT:
                 warnings.append(
@@ -296,10 +295,7 @@ def parse_responses(
             warnings.append(
                 f"participant {participant_id!r}: missing answers treated as 0 for {', '.join(missing)}"
             )
-            for question_id in missing:
-                answers[question_id] = 0
-        for j in unread_at:
-            row_codes[j] = answers[question_ids[j]]
+            row_codes = [0 if code is None else code for code in row_codes]
         codes[position * size : (position + 1) * size] = row_codes
 
     if dropped:  # dropped rows leave every column: the rows and codes are cut at them, in one pass each
@@ -322,14 +318,6 @@ def parse_responses(
     )
 
 
-def _positions(column: tuple, value: Any) -> list[int]:
-    """The positions of value in column, found by C-level searches."""
-    positions = [-1]
-    for _ in range(column.count(value)):
-        positions.append(column.index(value, positions[-1] + 1))
-    return positions[1:]
-
-
 def _columns(keys: Sequence) -> Callable[[Sequence | Mapping], tuple]:
     """itemgetter(*keys), but returning a tuple for one key or none too."""
     if len(keys) > 1:
@@ -337,30 +325,18 @@ def _columns(keys: Sequence) -> Callable[[Sequence | Mapping], tuple]:
     return lambda row: tuple(row[key] for key in keys)
 
 
-def _read_answers(
-    cells: Sequence[str], question_ids: list[str], max_code: int, line_no: int
-) -> tuple[dict[str, int | None], list[str]]:
-    """Read answer cells of one row one by one, in questionnaire order; None marks a blank cell until the policy resolves it."""
-    answers: dict[str, int | None] = {}
-    missing: list[str] = []
-    for question_id, cell in zip(question_ids, cells):
-        cell = cell.strip()
-        if cell == "":
-            answers[question_id] = None
-            missing.append(question_id)
-            continue
-        try:
-            code = int(cell)
-        except ValueError:
-            raise ResponseError(
-                f"answer {cell!r} is not an integer", row=line_no, column=question_id
-            ) from None
-        if not 0 <= code <= max_code:
-            raise ResponseError(
-                f"answer {code} out of range 0..{max_code}", row=line_no, column=question_id
-            )
-        answers[question_id] = code
-    return answers, missing
+def _read_answer(cell: str, question_id: str, max_code: int, line_no: int) -> int | None:
+    """The code of one answer cell read on its own; None for a blank cell, which the policy resolves."""
+    cell = cell.strip()
+    if not cell:
+        return None
+    try:
+        code = int(cell)
+    except ValueError:
+        raise ResponseError(f"answer {cell!r} is not an integer", row=line_no, column=question_id) from None
+    if not 0 <= code <= max_code:
+        raise ResponseError(f"answer {code} out of range 0..{max_code}", row=line_no, column=question_id)
+    return code
 
 
 def _check_header(header: list[str], question_ids: list[str], demographics: Sequence[str]) -> None:

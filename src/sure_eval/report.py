@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain, compress, count, groupby, repeat
+from itertools import compress, count, groupby, repeat
 from math import isfinite
 from operator import itemgetter, mul
 from typing import Any, Iterable, Mapping, Sequence
@@ -134,6 +134,9 @@ def build_report(
             except KeyError as exc:  # the first id, in row order, without a score
                 raise ReportError(f"participant {exc.args[0]!r} has no score; inputs are not from one run") from None
             values = people.demographic_columns[0]
+            if not {*map(type, values)} <= {str}:  # a hand-made record may lack the key or hold another type
+                at = next(i for i, value in enumerate(values) if type(value) is not str)
+                raise ReportError(f"participant {people.ids[at]!r}: demographic {key!r} must be a string, found {values[at]!r}")
             # A stable sort by value keeps each group's members in row order, the order its sums run in.
             by_value = groupby(sorted(range(len(values)), key=values.__getitem__), values.__getitem__)
             groups[key] = {value: aggregate_scores(scores.take(list(map(scored.__getitem__, members))), structure) for value, members in by_value}
@@ -376,8 +379,9 @@ def parse_report(document: bytes | str) -> ScoreReport:
     find a repeated name: when a check rejects it, or when its text holds
     more ":" than the accepted report's value, which only a repeated name makes.
     Either load gives one float per distinct number text, and the participants
-    of a document laid out as the writer writes it are read in one gathered
-    pass; the checks run in turn only on a document that pass does not read.
+    are read by one gathered pass; the checks run in turn only on a document
+    that pass does not read, to name its first fault or, if it has none, to
+    give the pass its participant records with their fields in order.
     """
     loaded = _schema.load_plain(document)
     if loaded is None:
@@ -425,7 +429,7 @@ def _checked_report(data: Any) -> ScoreReport:
 
 
 def _read_gathered(data: Any) -> tuple[GoalStructure, Sequence[Sequence]] | None:
-    """The tree and the participants' columns (ids, overall, key goals', sub goals') of a document whose participants fit the shape the writer writes, by one gathered pass over them; None for a document that the checks in turn must read, to accept it or to name its first fault.
+    """The tree and the participants' columns (ids, overall, key goals', sub goals') of a document whose participants fit the shape the writer writes, by one gathered pass over them: the only reader of a report's participants. None for a document that _read_checked must read, to name its first fault or to put its participant records' fields in order.
 
     The rest of the document must fit REPORT_SHAPE and hold a valid tree; each
     participant's record and score maps must hold their fields and the tree's
@@ -444,7 +448,13 @@ def _read_gathered(data: Any) -> tuple[GoalStructure, Sequence[Sequence]] | None
 
 
 def _read_checked(data: Any) -> tuple[GoalStructure, Sequence[Sequence]]:
-    """What _read_gathered gives, of a document that it does not read: the shape, the tree and the participants checked in turn, the first fault a SchemaError."""
+    """What _read_gathered gives, of a document that it does not read: the shape, the tree, the participants and their scores checked in turn, the first fault a SchemaError.
+
+    A document in which these checks find no fault differs from one that
+    _read_gathered reads only in the order of some participant record's
+    fields, so it is read by _read_gathered with each record's fields in
+    REPORT_SHAPE's order.
+    """
     _schema.check(data, REPORT_SHAPE)
     structure = _structure(data)
     for violation in validate_structure(structure)[:1]:
@@ -453,10 +463,9 @@ def _read_checked(data: Any) -> tuple[GoalStructure, Sequence[Sequence]]:
     if not participants:
         raise SchemaError("$.participants: a report has at least one participant")
     key_ids, sub_ids = _tree_ids(structure.key_goals)
-    overall = tuple(map(itemgetter("overall"), participants))
-    key_maps, sub_maps = list(map(itemgetter("key_goals"), participants)), list(map(itemgetter("sub_goals"), participants))
-    columns = _check_scores(map("$.participants[{}]".format, count()), "overall", overall, key_maps, sub_maps, key_ids, sub_ids)
-    return structure, (tuple(map(itemgetter("id"), participants)), *columns)
+    _check_scores(map("$.participants[{}]".format, count()), "overall", map(itemgetter("overall"), participants), map(itemgetter("key_goals"), participants), map(itemgetter("sub_goals"), participants), key_ids, sub_ids)
+    fields = REPORT_SHAPE["participants"][0]
+    return _read_gathered({**data, "participants": [{name: record[name] for name in fields} for record in participants]})
 
 
 def _structure(data: dict) -> GoalStructure:
@@ -469,18 +478,8 @@ def _colons(data: dict, table: ScoreTable) -> int:
     return _schema.colons({**data, "participants": []}) + len(table) * members + "".join(table.ids).count(":")
 
 
-def _check_scores(paths: Iterable[str], field: str, scores: Sequence[float], key_maps: list[dict], sub_maps: list[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> list[tuple[float, ...]]:
-    """Rows of (score, key scores, sub scores), whose values fit the report's shape, as columns: the scores, each key goal's and each sub goal's, sliced from one tuple of every value.
-
-    C-level passes over that tuple find whether every map holds the tree's
-    ids in order and every value is in [0, 1]; only if not are the rows
-    walked, to name the first misfit in a SchemaError.
-    """
-    values = tuple(chain(scores, chain.from_iterable(map(dict.values, chain(key_maps, sub_maps)))))  # a tuple, so that each column is one slice
-    ids_fit = all(map(key_ids.__eq__, map(tuple, key_maps))) and all(map(sub_ids.__eq__, map(tuple, sub_maps)))
-    if ids_fit and 0.0 <= min(values, default=0.0) and max(values, default=0.0) <= 1.0:
-        n, n_keys, subs_from = len(scores), len(key_ids), len(scores) * (1 + len(key_ids))
-        return [values[:n], *(values[n + j : subs_from : n_keys] for j in range(n_keys)), *(values[subs_from + j :: len(sub_ids)] for j in range(len(sub_ids)))]
+def _check_scores(paths: Iterable[str], field: str, scores: Iterable[float], key_maps: Iterable[dict], sub_maps: Iterable[dict], key_ids: tuple[str, ...], sub_ids: tuple[str, ...]) -> None:
+    """Walk rows of (path, score, key scores, sub scores), whose values fit the report's shape, and raise a SchemaError at the first whose maps do not hold the tree's ids in order or whose value lies outside [0, 1]: its key goals, then its sub goals, then its score."""
     for path, score, key_scores, sub_scores in zip(paths, scores, key_maps, sub_maps):
         for name, by_id, ids in (("key_goals", key_scores, key_ids), ("sub_goals", sub_scores, sub_ids)):
             if tuple(by_id) != ids:

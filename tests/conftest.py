@@ -14,6 +14,13 @@ with warnings.catch_warnings(), suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
+from hypothesis import Phase, settings
+
+# tests/mutants.py runs the tests against broken copies of the package under
+# this profile: a failing example is reported as found, since shrinking one
+# took up to minutes, and no example is saved to or replayed from a database.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate, Phase.target), database=None, deadline=None)
+
 from sure_eval import data as bundled
 from sure_eval.goal_structure import parse_structure
 from sure_eval.ingest import parse_responses

@@ -243,11 +243,11 @@ def parse_one(questionnaire, cells, header=None, policy=MissingPolicy.EXCLUDE_PA
     return parse_responses(csv_for(questionnaire, [row], header=header), questionnaire, policy=policy)
 
 
-@pytest.mark.parametrize("cell", [" 3 ", "03", "+3", "\t3", "3 ", "0003"])
+@pytest.mark.parametrize("cell", [" 3 ", "03", "+3", "\t3", "3 ", "0003", "4 ", "-0"])
 def test_padded_or_signed_code_reads_as_its_value(questionnaire, cell):
     answers = parse_one(questionnaire, {4: cell}).participants[0].answers
     question_ids = questionnaire.question_ids()
-    assert answers == {**dict.fromkeys(question_ids, 1), question_ids[4]: 3}
+    assert answers == {**dict.fromkeys(question_ids, 1), question_ids[4]: int(cell)}
     assert list(answers) == question_ids
 
 

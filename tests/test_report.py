@@ -850,3 +850,14 @@ def test_groups_name_the_first_participant_without_a_score(scored, structure, re
     scores, aggregates = scored
     with pytest.raises(ReportError, match=r"^participant 'S002' has no score; inputs are not from one run$"):
         build_report(scores.take([0, 2, 3]), aggregates, structure, responses, group_by=["gender"])
+
+
+@pytest.mark.parametrize("value", [None, 1], ids=["missing", "int"])
+def test_groups_name_the_first_participant_whose_value_is_not_a_string(scored, structure, responses, value):
+    # regression: a hand-made record without the key raised a TypeError from the sort, and an int value built a report that markdown and json could not write
+    scores, aggregates = scored
+    records = list(responses.participants)
+    for at in (1, 3):
+        records[at] = replace(records[at], demographics={} if value is None else {"gender": value})
+    with pytest.raises(ReportError, match=rf"^participant '{records[1].participant_id}': demographic 'gender' must be a string, found {value!r}$"):
+        build_report(scores, aggregates, structure, replace(responses, participants=records), group_by=["gender"])
