@@ -4,8 +4,8 @@ A shape is a nested literal: ``str``, ``int`` or ``float`` for a JSON
 string, integer (not ``true``/``false``) or finite number (not an integer);
 ``[item]`` for an array of ``item``; ``{"field": shape, ...}`` for an
 object with exactly these fields; ``{str: shape}`` for an object used as a
-map; ``Nullable(shape)`` for ``null`` or ``shape``; a tuple of strings
-for one of those strings.
+map, its names strings; ``Nullable(shape)`` for ``null`` or ``shape``; a
+tuple of strings for one of those strings.
 
 ``check(value, shape)`` names the JSON path of the first part of a
 document that does not fit its shape; ``fits(value, shape)`` only tells
@@ -203,7 +203,7 @@ def _all_fit(values: list, shape: Any) -> bool:
     if kind is list:
         return _all_fit(values[0] if len(values) == 1 else list(chain.from_iterable(values)), shape[0])
     if str in shape:
-        return _all_fit(list(chain.from_iterable(map(dict.values, values))), shape[str])
+        return _all_fit(list(chain.from_iterable(values)), str) and _all_fit(list(chain.from_iterable(map(dict.values, values))), shape[str])
     names = tuple(shape)
     if not (all(map(names.__eq__, map(tuple, values))) or all(map(shape.keys().__eq__, map(dict.keys, values)))):  # the fields in order, else in any order
         return False
@@ -234,6 +234,8 @@ def _misfit(value: Any, shape: Any, path: str) -> str:
         return _misfit(element, shape[0], f"{path}[{index}]")
     if str in shape:
         names, elements = list(value), list(value.values())
+        if not _all_fit(names, str):
+            return f"{path}: expected string names, got {next(name for name in names if type(name) is not str)!r}"
         index = _first_misfit(len(elements), lambda start, stop: _all_fit(elements[start:stop], shape[str]))
         return _misfit(elements[index], shape[str], f"{path}.{names[index]}")
     if value.keys() - shape.keys():

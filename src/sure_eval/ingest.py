@@ -106,7 +106,7 @@ class ParticipantTable(_Table):
     parse_responses). As a read-only Sequence[ParticipantRecord], indexing or
     iterating builds each ParticipantRecord, with fresh dict maps, on demand;
     slicing gives a table. ParticipantTable.of is the one adapter for other
-    sequences of records.
+    sequences of records; a ResponseSet calls it once, when it is made.
     """
 
     __slots__ = ("demographics", "question_ids", "columns")
@@ -115,12 +115,8 @@ class ParticipantTable(_Table):
 
     @classmethod
     def of(cls, records: Sequence[ParticipantRecord], demographics: Sequence[str], question_ids: Sequence[str]) -> ParticipantTable:
-        """records as a table of exactly these demographics and questions: a table that has them gives its columns, any other sequence is read record by record, its maps by name (a missing name reads as None)."""
+        """records as a table of exactly these demographics and questions, read record by record, its maps by name (a missing name reads as None, any other name is dropped)."""
         demographics, question_ids = tuple(demographics), tuple(question_ids)
-        if isinstance(records, ParticipantTable):
-            values, codes = dict(zip(records.demographics, records.demographic_columns)), dict(zip(records.question_ids, records.code_columns))
-            if values.keys() >= {*demographics} and codes.keys() >= {*question_ids}:
-                return cls(demographics, question_ids, (records.ids, *map(values.__getitem__, demographics), *map(codes.__getitem__, question_ids)))
         rows = [(record.participant_id, *map(record.demographics.get, demographics), *map(record.answers.get, question_ids)) for record in records]
         return cls(demographics, question_ids, tuple(zip(*rows)) if rows else ((),) * (1 + len(demographics) + len(question_ids)))
 
@@ -141,9 +137,11 @@ class ParticipantTable(_Table):
 class ResponseSet:
     """A parsed response CSV after the missing-data policy.
 
-    participants is the ParticipantTable of parse_responses, or any other
-    sequence of ParticipantRecord, which scoring and the group breakdown read
-    through ParticipantTable.of.
+    participants is always a ParticipantTable of the declared demographics.
+    Such a table, as parse_responses gives, is kept as it is; any other
+    sequence of ParticipantRecord is converted once, when the set is made,
+    through ParticipantTable.of, its questions every answer name the records
+    hold, in the order first seen.
     """
 
     questionnaire_version: str
@@ -151,6 +149,13 @@ class ResponseSet:
     policy_applied: MissingPolicy
     demographics: tuple[str, ...]
     warnings: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        records = self.participants
+        if not (isinstance(records, ParticipantTable) and records.demographics == tuple(self.demographics)):
+            records = tuple(records)  # read twice, for the question ids and into columns
+            question_ids = dict.fromkeys(name for record in records for name in record.answers)
+            object.__setattr__(self, "participants", ParticipantTable.of(records, self.demographics, question_ids))
 
 
 def normalize(code: int, scale: Scale) -> float:

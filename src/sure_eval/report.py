@@ -23,7 +23,7 @@ from . import _schema
 from ._schema import RENDER_FORMATS
 from .errors import ReportError, SchemaError
 from .goal_structure import GoalStructure, KeyGoal, key_goals_from_obj, validate_structure
-from .ingest import ParticipantTable, ResponseSet
+from .ingest import ResponseSet
 from .questionnaire import _markdown
 from .scoring import AggregateScores, ParticipantScore, ScoreTable, _tree_ids, aggregate_scores
 
@@ -42,7 +42,7 @@ class ScoreReport:
     """All four score levels plus distribution and participation context.
 
     participants, any sequence of ParticipantScore whose maps hold exactly
-    the tree's ids, is kept as a ScoreTable of those ids (_score_table).
+    the tree's ids, is kept as a ScoreTable of those ids (ScoreTable.of).
     """
 
     title: str
@@ -57,21 +57,7 @@ class ScoreReport:
     warnings: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "participants", _score_table(self.participants, self.key_goals))
-
-
-def _score_table(scores: Sequence[ParticipantScore], key_goals: Sequence[KeyGoal]) -> ScoreTable:
-    """scores as a ScoreTable of the tree's ids: such a table as it is, any other sequence through ScoreTable.of, once every map is checked to hold exactly those ids, in any order (a ReportError names the first participant whose map does not)."""
-    key_ids, sub_ids = _tree_ids(key_goals)
-    if isinstance(scores, ScoreTable) and (scores.key_ids, scores.sub_ids) == (key_ids, sub_ids):
-        return scores
-    scores = tuple(scores)  # read twice, by the check and by ScoreTable.of
-    fields = ("key_goal_scores", key_ids, {*key_ids}), ("sub_goal_scores", sub_ids, {*sub_ids})
-    for score in scores:
-        for field, ids, id_set in fields:
-            if getattr(score, field).keys() != id_set:
-                raise ReportError(f"participant {score.participant_id!r}: {field} must hold exactly the tree's ids {', '.join(ids)}")
-    return ScoreTable.of(scores, key_ids, sub_ids)
+        object.__setattr__(self, "participants", ScoreTable.of(self.participants, *_tree_ids(self.key_goals)))
 
 
 def participation_rate(respondents: int, enrolled: int) -> float:
@@ -103,10 +89,10 @@ def build_report(
     with unequal group sizes).
 
     scores, any sequence of ParticipantScore whose maps hold exactly the
-    tree's ids, is kept as a ScoreTable (_score_table). An overall score
+    tree's ids, is kept as a ScoreTable (ScoreTable.of). An overall score
     outside [0, 1], NaN included, is a ReportError naming its participant.
     """
-    scores = _score_table(scores, structure.key_goals)
+    scores = ScoreTable.of(scores, *_tree_ids(structure.key_goals))
     overall = scores.overall
     if not (0.0 <= min(overall, default=0.0) and max(overall, default=0.0) <= 1.0 and isfinite(sum(overall))):  # a NaN makes the sum NaN
         at = next(i for i, value in enumerate(overall) if not 0.0 <= value <= 1.0)
@@ -125,15 +111,15 @@ def build_report(
     if group_by:
         groups = {}
         position = dict(zip(scores.ids, count()))
+        people = responses.participants
         for key in group_by:
             if key not in responses.demographics:
                 raise ReportError(f"group_by key {key!r} is not a declared demographic {tuple(responses.demographics)}")
-            people = ParticipantTable.of(responses.participants, (key,), ())
             try:
                 scored = list(map(position.__getitem__, people.ids))
             except KeyError as exc:  # the first id, in row order, without a score
                 raise ReportError(f"participant {exc.args[0]!r} has no score; inputs are not from one run") from None
-            values = people.demographic_columns[0]
+            values = people.demographic_columns[people.demographics.index(key)]
             if not {*map(type, values)} <= {str}:  # a hand-made record may lack the key or hold another type
                 at = next(i for i, value in enumerate(values) if type(value) is not str)
                 raise ReportError(f"participant {people.ids[at]!r}: demographic {key!r} must be a string, found {values[at]!r}")

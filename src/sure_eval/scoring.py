@@ -24,7 +24,7 @@ from itertools import accumulate, compress, count, product, repeat
 from operator import add, mul, not_, sub, truediv
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidQuestionnaireError, NoDataError
+from .errors import InvalidQuestionnaireError, NoDataError, ReportError
 from .goal_structure import GoalStructure, KeyGoal, SubGoal
 from .ingest import ParticipantRecord, ParticipantTable, ResponseSet, _columns, _Table, normalize
 from .questionnaire import Questionnaire, validate_questionnaire
@@ -69,10 +69,16 @@ class ScoreTable(_Table):
 
     @classmethod
     def of(cls, scores: Sequence[ParticipantScore], key_ids: Sequence[str], sub_ids: Sequence[str]) -> ScoreTable:
-        """scores as a table over these ids: a table with them as it is, any other sequence read score by score, its maps by id (a missing id is a KeyError)."""
+        """scores as a table over these ids: a table with them as it is, any other sequence read score by score, its maps by id once each is checked to hold exactly these ids, in any order (a ReportError names the first participant whose map does not): the one adapter for scores."""
         key_ids, sub_ids = tuple(key_ids), tuple(sub_ids)
         if isinstance(scores, ScoreTable) and (scores.key_ids, scores.sub_ids) == (key_ids, sub_ids):
             return scores
+        scores = tuple(scores)  # read twice, by the check and into columns
+        fields = ("key_goal_scores", key_ids, {*key_ids}), ("sub_goal_scores", sub_ids, {*sub_ids})
+        for score in scores:
+            for field, ids, id_set in fields:
+                if getattr(score, field).keys() != id_set:
+                    raise ReportError(f"participant {score.participant_id!r}: {field} must hold exactly the tree's ids {', '.join(ids)}")
         keys, subs = _columns(key_ids), _columns(sub_ids)
         rows = [(score.participant_id, score.overall, *keys(score.key_goal_scores), *subs(score.sub_goal_scores)) for score in scores]
         return cls(key_ids, sub_ids, tuple(zip(*rows)) if rows else ((),) * (2 + len(key_ids) + len(sub_ids)))
@@ -99,7 +105,7 @@ def sub_goal_score(record: ParticipantRecord, sub_goal: SubGoal, questionnaire: 
     if all(question.sub_goal != sub_goal.id for question in questionnaire.questions):
         raise ValueError(f"sub goal {sub_goal.id!r} has no questions")
     plan, unit = _compile(questionnaire, [KeyGoal(sub_goal.parent, "", (sub_goal,))])
-    return _kernel((record,), plan, unit).sub_columns[0][0]
+    return _kernel(ParticipantTable.of((record,), (), record.answers), plan, unit).sub_columns[0][0]
 
 
 def key_goal_score(sub_scores: Sequence[float]) -> float:
@@ -139,21 +145,19 @@ def _compile(questionnaire: Questionnaire, key_goals: Sequence[KeyGoal]) -> tupl
     return plan, {code: normalize(code, questionnaire.scale) for code in range(questionnaire.scale.size)}
 
 
-def _kernel(records: Sequence[ParticipantRecord], plan: list[tuple[str, list[tuple[str, list[str]]]]], unit: dict[int, float]) -> ScoreTable:
+def _kernel(participants: ParticipantTable, plan: list[tuple[str, list[tuple[str, list[str]]]]], unit: dict[int, float]) -> ScoreTable:
     """Every participant's scores, by the three rules run as C-level passes over columns, in plan order.
 
-    The answer codes are the records' code columns in plan order, as a
-    ParticipantTable holds them: parse_responses' table gives its own
-    columns, any other sequence is read through ParticipantTable.of. A
+    The answer codes are the table's code columns, picked by question id in
+    plan order; a question the table lacks reads as a column of None. A
     missing answer or one outside unit's codes fails a pass; only then does
     a walk name the first one, in participant and plan order.
     """
     key_ids = tuple(key_id for key_id, _ in plan)
     sub_ids = tuple(sub_id for _, subs in plan for sub_id, _ in subs)
-    if not records:  # nothing to score, whatever the plan: score_all's aggregation names that
-        return ScoreTable.of((), key_ids, sub_ids)
-    question_ids = [question_id for _, subs in plan for _, ids in subs for question_id in ids]
-    table = ParticipantTable.of(records, (), question_ids)
+    question_ids = tuple(question_id for _, subs in plan for _, ids in subs for question_id in ids)
+    code_of = dict(zip(participants.question_ids, participants.code_columns))
+    table = ParticipantTable((), question_ids, (participants.ids, *(code_of.get(question_id) or (None,) * len(participants) for question_id in question_ids)))
     codes = iter(table.code_columns)
     sub_columns: list[tuple[float, ...]] = []
     key_columns: list[tuple[float, ...]] = []
@@ -219,7 +223,7 @@ def _raise_bad_answer(table: ParticipantTable, unit: dict[int, float]) -> None:
 
 
 def aggregate_scores(scores: Sequence[ParticipantScore], structure: GoalStructure) -> AggregateScores:
-    """Arithmetic means over a score table, or any sequence of scores, in its order.
+    """Arithmetic means over scores, in their order, read through ScoreTable.of (a ReportError names the first participant whose map does not hold exactly the tree's ids).
 
     Each column is summed left to right from 0.0 (_total); sum() compensates
     rounding on Python 3.12+, so results would differ between versions.

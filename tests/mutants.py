@@ -11,10 +11,11 @@ replaced there. The entry's pytest node ids then run from this checkout
 with ``-x`` and ``-p no:cacheprovider``, ``PYTHONPATH`` pointing at the
 copy, under the ``mutants`` Hypothesis profile of ``tests/conftest.py`` (no
 shrink phase, no example database, no deadline) and the entry's seed. The
-child imports ``sure_eval`` before pytest starts and stops unless it is the
-copy's. A mutant is killed only when a test fails (pytest's exit status 1)
-within TIME_LIMIT seconds; one whose tests pass, run out of time or cannot
-run survives. An entry that needs a newer Python than the running one is
+child imports pytest and then ``sure_eval`` before pytest starts, and stops
+with a status other than 1 if it cannot import pytest or if ``sure_eval`` is
+not the copy's. A mutant is killed only when a test fails (pytest's exit
+status 1) within TIME_LIMIT seconds; one whose tests pass, run out of time
+or cannot run survives. An entry that needs a newer Python than the running one is
 skipped and said to be: before Python 3.12, ``sum()`` of floats adds left to
 right from 0.0 as ``_total`` does, so that mutant changes nothing there.
 """
@@ -35,11 +36,15 @@ TIME_LIMIT = 120  # seconds per mutant; a shrinking Hypothesis run took minutes 
 
 # Run in the child before pytest, so that the tests import the copy whatever sys.path pytest sets up.
 BOOTSTRAP = """import sys
+try:
+    import pytest
+except ImportError as exc:  # its exit status 1 would read as a kill
+    print(exc, file=sys.stderr)
+    sys.exit(65)
 import sure_eval
 if not sure_eval.__file__.startswith(sys.argv[1]):
     print(f"imported {sure_eval.__file__}, not the mutant copy under {sys.argv[1]}", file=sys.stderr)
     sys.exit(64)
-import pytest
 sys.exit(pytest.main(sys.argv[2:]))
 """
 
@@ -104,8 +109,8 @@ CATALOGUE = (
         1,
     ),
     Mutant(
-        "_score_table without its id check",
-        "src/sure_eval/report.py",
+        "ScoreTable.of without its id check",
+        "src/sure_eval/scoring.py",
         "if getattr(score, field).keys() != id_set:",
         "if False:",
         ("tests/test_report.py::test_a_score_map_without_exactly_the_tree_ids_is_a_report_error",),
@@ -114,9 +119,25 @@ CATALOGUE = (
     Mutant(
         "ScoreReport without __post_init__",
         "src/sure_eval/report.py",
-        'object.__setattr__(self, "participants", _score_table(self.participants, self.key_goals))',
+        'object.__setattr__(self, "participants", ScoreTable.of(self.participants, *_tree_ids(self.key_goals)))',
         "pass",
         ("tests/test_report.py::test_report_participants_are_a_score_table_of_the_tree_ids",),
+        1,
+    ),
+    Mutant(
+        "ResponseSet without __post_init__",
+        "src/sure_eval/ingest.py",
+        'object.__setattr__(self, "participants", ParticipantTable.of(records, self.demographics, question_ids))',
+        "pass",
+        ("tests/test_ingest.py::test_scoring_and_groups_read_a_table_and_its_records_alike",),
+        1,
+    ),
+    Mutant(
+        "a map's names unchecked",
+        "src/sure_eval/_schema.py",
+        "return _all_fit(list(chain.from_iterable(values)), str) and _all_fit(",
+        "return _all_fit(",
+        ("tests/test_report.py::test_csv_and_json_refuse_a_group_name_that_is_not_a_string_with_one_error",),
         1,
     ),
     Mutant(

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from ingest_reference import parse_row_by_row
 
 from sure_eval.errors import ResponseError
-from sure_eval.ingest import MissingPolicy, ParticipantRecord, ParticipantTable, normalize, parse_responses
+from sure_eval.ingest import MissingPolicy, ParticipantRecord, ParticipantTable, ResponseSet, normalize, parse_responses
 from sure_eval.questionnaire import Question, Questionnaire, Scale, ScaleLevel, default_scale
 from sure_eval.report import RENDER_FORMATS, build_report, render_report
 from sure_eval.scoring import score_all
@@ -526,18 +526,30 @@ def test_participant_table_of_picks_columns_and_reads_records_by_name(responses)
     table = responses.participants
     picked = ParticipantTable.of(table, (), ["Q_A31", "Q_A11"])
     assert picked.columns == (table.ids, table.columns[table.question_ids.index("Q_A31") + 2], table.columns[2])
-    assert picked.columns[0] is table.ids
     hand_made = [ParticipantRecord("P1", {"gender": "F"}, {"Q_A11": 3}), ParticipantRecord("P2", {}, {"Q_A11": 2, "Q_A31": 1})]
     assert ParticipantTable.of(hand_made, ["gender"], ["Q_A31", "Q_A11"]).columns == (("P1", "P2"), ("F", None), (None, 1), (3, 2))
     assert ParticipantTable.of((), ["gender"], ["Q_A11"]).columns == ((), (), ())
 
 
-def test_scoring_and_groups_read_a_table_and_its_records_alike(structure, questionnaire, responses):
-    as_records = replace(responses, participants=tuple(responses.participants))
+def test_scoring_and_groups_read_a_table_and_its_records_alike(structure, questionnaire, responses, monkeypatch):
+    as_records = ResponseSet(responses.questionnaire_version, tuple(responses.participants), responses.policy_applied, responses.demographics, responses.warnings)
+    assert type(as_records.participants) is ParticipantTable and as_records.participants == responses.participants
+
+    def no_record(self, row):
+        raise AssertionError("a record was read from a table")
+
+    monkeypatch.setattr(ParticipantTable, "_record", no_record)  # scoring and the group breakdown read columns only
     reports = []
     for given_responses in (responses, as_records):
         scores, aggregates = score_all(given_responses, questionnaire, structure)
         reports.append(build_report(scores, aggregates, structure, given_responses, participation=(9, 20), group_by=["gender"], generated_at=""))
+    monkeypatch.undo()
     assert reports[0] == reports[1]
     for format in RENDER_FORMATS:
         assert render_report(reports[0], format) == render_report(reports[1], format)
+
+    # Records keep only the declared demographics, a name they lack reads as None, and the questions are every answer name, first seen first.
+    hand_made = (ParticipantRecord("P1", {"gender": "F", "age": "40"}, {"Q2": 2}), ParticipantRecord("P2", {}, {"Q1": 0, "Q2": 1}))
+    table = replace(responses, participants=hand_made).participants
+    assert (table.demographics, table.question_ids) == (("gender",), ("Q2", "Q1"))
+    assert list(table) == [ParticipantRecord("P1", {"gender": "F"}, {"Q2": 2, "Q1": None}), ParticipantRecord("P2", {"gender": None}, {"Q2": 1, "Q1": 0})]

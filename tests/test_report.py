@@ -237,9 +237,10 @@ MISFITS = [
 
 
 @pytest.mark.parametrize("field, change", MISFITS)
-@pytest.mark.parametrize("entry", ["build_report", "build_report-group_by", "ScoreReport", "replace"])
+@pytest.mark.parametrize("entry", ["build_report", "build_report-group_by", "ScoreReport", "replace", "aggregate_scores"])
 def test_a_score_map_without_exactly_the_tree_ids_is_a_report_error(scored, structure, responses, field, change, entry):
     # regression: markdown rendered such a map; csv raised a bare KeyError or dropped the extra id; json raised a SchemaError
+    # regression: aggregate_scores ignored an extra id and raised a bare KeyError for a missing one
     scores, aggregates = scored
     report = full_report(scored, structure, responses)
     misfit = [replace(scores[0], **{field: change(getattr(scores[0], field))}), *scores[1:]]
@@ -248,6 +249,7 @@ def test_a_score_map_without_exactly_the_tree_ids_is_a_report_error(scored, stru
         "build_report-group_by": lambda: build_report(misfit, aggregates, structure, responses, group_by=["gender"], generated_at=""),
         "ScoreReport": lambda: ScoreReport(**{**vars(report), "participants": misfit}),
         "replace": lambda: replace(report, participants=misfit),
+        "aggregate_scores": lambda: aggregate_scores(misfit, structure),
     }[entry]
     ids = ", ".join(_tree_ids(structure.key_goals)[field == "sub_goal_scores"])
     with pytest.raises(ReportError) as caught:
@@ -844,6 +846,19 @@ def test_csv_is_the_bytes_csv_writer_writes_row_by_row(report):
         assert str(refused.value) == str(exc)
     else:
         assert _csv_or_error(lambda each: render_report(each, "csv"), report) == _csv_or_error(render_csv, report)
+
+
+@pytest.mark.parametrize("groups, text", [(lambda agg: {"gender": {1: agg}}, "$.groups.gender: expected string names, got 1"), (lambda agg: {2: {"F": agg}}, "$.groups: expected string names, got 2")], ids=["value", "key"])
+def test_csv_and_json_refuse_a_group_name_that_is_not_a_string_with_one_error(scored, structure, responses, groups, text):
+    # regression: the shape check read only a map's values, so csv wrote such a report and json raised a TypeError
+    report = full_report(scored, structure, responses, group_by=["gender"])
+    hand_made = replace(report, groups=groups(report.groups["gender"]["F"]))
+    texts = []
+    for format in ("json", "csv"):
+        with pytest.raises(SchemaError) as refused:
+            render_report(hand_made, format)
+        texts.append(str(refused.value))
+    assert texts == [text, text]
 
 
 def test_groups_name_the_first_participant_without_a_score(scored, structure, responses):
